@@ -1,12 +1,15 @@
 use sp_facility::{
-    solve_branch_and_bound, solve_enumeration, solve_greedy, solve_local_search, FacilityError,
-    FacilityProblem,
+    solve_branch_and_bound, solve_enumeration, solve_greedy, solve_greedy_over, solve_local_search,
+    FacilityError, FacilityProblem, GreedyRows,
 };
 use sp_graph::{edge_on_path, CsrGraph, DijkstraScratch};
 
 use crate::oracle_cache::OracleCache;
 use crate::session::EDGE_ON_PATH_EPS;
-use crate::{topology_without_peer, CoreError, Game, LinkSet, PeerId, StrategyProfile};
+use crate::{
+    topology_without_peer, CoreError, Game, LinkSet, PeerId, StrategyProfile,
+    METRIC_TRIANGLE_TOLERANCE,
+};
 
 /// How a peer's best response is computed.
 ///
@@ -142,12 +145,7 @@ impl ResponseOracle {
         let mut assignment = Vec::with_capacity(candidates.len());
         for &v in &candidates {
             let buf = csr.dijkstra_row_with(v, scratch);
-            let d_iv = game.distance(i, v);
-            let row: Vec<f64> = candidates
-                .iter()
-                .map(|&j| (d_iv + buf[j]) / game.distance(i, j))
-                .collect();
-            assignment.push(row);
+            assignment.push(assign_row(game, i, &candidates, v, buf));
         }
         let problem = FacilityProblem::with_uniform_open_cost(game.alpha(), assignment)
             .expect("reduction produces non-negative costs by construction");
@@ -187,71 +185,30 @@ impl ResponseOracle {
         cache: &mut OracleCache,
         scratch: &mut DijkstraScratch,
     ) -> Result<(Self, OracleReuse), CoreError> {
-        let n = game.n();
-        if peer.index() >= n {
-            return Err(CoreError::PeerOutOfBounds {
-                peer: peer.index(),
-                n,
-            });
+        // A candidate row may legitimately be invalid in the overlay
+        // tier: the lazy refill (`GameSession::ensure_rows_for_oracle`)
+        // leaves rows alone when the residual tier already serves them.
+        // The tier order is unchanged — overlay when valid and clean,
+        // residual, fresh sweep — and every tier is exact, so laziness
+        // never changes a value.
+        let mut rows = LazyRows::new(game, profile, peer, cache, scratch)?;
+        for k in 0..rows.candidates.len() {
+            rows.ensure_exact(k);
         }
-        let i = peer.index();
-        let out: Vec<(usize, f64)> = profile
-            .strategy(peer)
-            .iter()
-            .map(|t| (t.index(), game.distance(i, t.index())))
+        let reuse = rows.scan.reuse;
+        let assignment: Vec<Vec<f64>> = rows
+            .rows
+            .into_iter()
+            .map(|row| match row {
+                LazyRow::Exact(r) => r,
+                LazyRow::Unresolved | LazyRow::Lower(_) => unreachable!("every row made exact"),
+            })
             .collect();
-        let candidates: Vec<usize> = (0..n).filter(|&v| v != i).collect();
-        // `G_{-i}` is only materialised if some row actually routes
-        // through `i`, needs a fresh sweep, and no residual row covers it.
-        let mut g_minus: Option<CsrGraph> = None;
-        let mut reuse = OracleReuse::default();
-        let mut assignment = Vec::with_capacity(candidates.len());
-        for &v in &candidates {
-            // A candidate row may legitimately be invalid in the overlay
-            // tier: the lazy refill (`GameSession::ensure_rows_for_oracle`)
-            // leaves rows alone when the residual tier already serves
-            // them. The tier order is unchanged — overlay when valid and
-            // clean, residual, fresh sweep — and every tier is exact, so
-            // laziness never changes a value.
-            let overlay = cache.row_is_valid(v).then(|| {
-                let cached = cache.row(v);
-                let d_vi = cached[i];
-                out.iter()
-                    .all(|&(t, w)| !edge_on_path(d_vi, w, cached[t], EDGE_ON_PATH_EPS))
-            });
-            let d_iv = game.distance(i, v);
-            let assign = |residual: &[f64]| -> Vec<f64> {
-                candidates
-                    .iter()
-                    .map(|&j| (d_iv + residual[j]) / game.distance(i, j))
-                    .collect()
-            };
-            let row: Vec<f64> = if overlay == Some(true) {
-                reuse.rows_reused += 1;
-                assign(cache.row(v))
-            } else if let Some(residual) = cache.residual_row(i, v) {
-                reuse.residual_hits += 1;
-                assign(residual)
-            } else {
-                reuse.rows_swept += 1;
-                if g_minus.is_none() {
-                    let g = topology_without_peer(game, profile, peer)
-                        .expect("peer bounds checked above");
-                    g_minus = Some(CsrGraph::from_digraph(&g));
-                }
-                let csr = g_minus.as_ref().expect("built above");
-                let buf = csr.dijkstra_row_with(v, scratch);
-                let row = assign(buf);
-                cache.store_residual(i, v, buf);
-                row
-            };
-            assignment.push(row);
-        }
         let problem = FacilityProblem::with_uniform_open_cost(game.alpha(), assignment)
             .expect("reduction produces non-negative costs by construction");
         Ok((
             ResponseOracle {
-                candidates,
+                candidates: rows.candidates,
                 problem,
             },
             reuse,
@@ -363,180 +320,232 @@ impl ResponseOracle {
     }
 }
 
-/// Accounting for one [`first_improving_move_lazy`] scan: the exact-tier
-/// row sourcing it shares with [`ResponseOracle::build_from_cache`], plus
-/// the bound-tier outcomes unique to the lazy path.
+/// Accounting for one lazy query ([`LazyRows::first_improving_move`] or
+/// [`LazyRows::greedy`]): the exact-tier row sourcing it shares with
+/// [`ResponseOracle::build_from_cache`], plus the bound-tier outcomes.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub(crate) struct LazyScan {
     /// Exact-tier row accounting (overlay reuse / residual hits / sweeps).
     pub(crate) reuse: OracleReuse,
-    /// Candidate moves rejected on a certified lower bound alone — no
-    /// exact row for the new link target was ever materialised.
+    /// Candidate evaluations (single-link moves, or greedy facility
+    /// scores) settled on a certified lower bound alone.
     pub(crate) certified_rejects: usize,
-    /// Candidate moves whose lower bound passed the improvement test and
-    /// therefore paid exact escalation.
+    /// Candidate evaluations whose lower bound could still win and so
+    /// paid for exact rows.
     pub(crate) exact_evals: usize,
 }
 
-/// A candidate row in the lazy scan, already assignment-converted
+/// The factor that turns a metric distance `d(v, j)` into a certified
+/// lower bound on every `G_{-i}` shortest-path sum from `v` to `j`, as
+/// Dijkstra computes it in floating point, on an `n`-peer game.
+///
+/// Two effects can push a path sum below `d(v, j)` even though the
+/// latencies form a metric:
+///
+/// * rounding: the path sum is a left fold of up to `n − 1`
+///   non-negative terms, which loses at most a relative `(n − 1)·ε/2`
+///   (and the stored latencies themselves can break the triangle
+///   inequality by an ulp — on a line, `fl(c − a)` can exceed
+///   `fl(fl(b − a) + fl(c − b))`);
+/// * input tolerance: an explicit matrix is accepted when every triangle
+///   holds within a relative [`METRIC_TRIANGLE_TOLERANCE`], which a path
+///   of `m` edges can compound up to `(1 + tol)^(m − 1)`.
+///
+/// Dividing by `(1 + tol)^n` and shrinking by `(n + 4)·ε` covers both
+/// with room to spare, including the rounding of the product itself.
+fn metric_deflation(n: usize) -> f64 {
+    let n = n as f64;
+    (1.0 - (n + 4.0) * f64::EPSILON) / (1.0 + METRIC_TRIANGLE_TOLERANCE).powf(n)
+}
+
+/// Peer `i`'s assignment row through candidate `v`:
+/// `(d_iv + D(v, j)) / d_met(i, j)` over the candidate positions `j`.
+fn assign_row(game: &Game, i: usize, candidates: &[usize], v: usize, residual: &[f64]) -> Vec<f64> {
+    let d_iv = game.distance(i, v);
+    candidates
+        .iter()
+        .map(|&j| (d_iv + residual[j]) / game.distance(i, j))
+        .collect()
+}
+
+/// A candidate row in a lazy query, already assignment-converted
 /// (`(d_iv + D(v, j)) / d_met(i, j)` over client positions).
 enum LazyRow {
     /// Not yet touched by any evaluation.
     Unresolved,
     /// A certified **lower bound** on the exact assignment row: either a
     /// valid-but-dirty overlay row (`d_G(v, ·) ≤ D_{G_{-i}}(v, ·)` since
-    /// removing `i`'s links only lengthens paths) or the metric row
-    /// (`d_met(v, ·) ≤ D_{G_{-i}}(v, ·)` by the triangle inequality).
+    /// removing `i`'s links only lengthens paths) or the deflated metric
+    /// row (see [`metric_deflation`]).
     Lower(Vec<f64>),
-    /// The exact residual assignment row (overlay-clean, residual-tier,
-    /// or freshly swept — the same three tiers as
-    /// [`ResponseOracle::build_from_cache`]).
+    /// The exact residual assignment row: overlay-clean, residual-tier,
+    /// or freshly swept, in that order.
     Exact(Vec<f64>),
 }
 
-/// Lazily resolved candidate rows for one `(profile, peer)` scan.
+/// Lazily resolved candidate rows for one `(profile, peer)` query — the
+/// session's cached oracle for better responses and Greedy best
+/// responses, and the row source behind
+/// [`ResponseOracle::build_from_cache`].
 ///
-/// Unlike [`ResponseOracle::build_from_cache`], which materialises every
-/// candidate row up front (and therefore pays a fresh `G_{-i}` sweep for
-/// every row a move by a hub peer dirtied), this store resolves rows to
-/// the *weakest sufficient tier*: certified lower bounds serve rejection,
-/// and only candidates whose bound survives the improvement test pay for
-/// exact rows. Every exact row comes from the identical tier order as the
-/// eager build, so any move this scan **accepts** is bit-identical (same
-/// links, same cost) to the eager scan's acceptance.
-struct LazyRows<'a> {
+/// The eager build makes every candidate row exact up front (and so
+/// pays a fresh `G_{-i}` sweep for every row a move by a hub peer
+/// dirtied). The lazy queries instead resolve rows to the *weakest
+/// sufficient tier*: certified lower bounds serve rejection, and only
+/// candidates whose bound can still strictly beat the incumbent pay for
+/// exact rows. Both use the one tier order here, and every accepted
+/// answer is computed from exact rows only, so answers are bit-identical
+/// (same links, same cost) to a fresh `G_{-i}` oracle's.
+pub(crate) struct LazyRows<'a> {
     game: &'a Game,
     profile: &'a StrategyProfile,
     peer: PeerId,
+    cache: &'a mut OracleCache,
+    scratch: &'a mut DijkstraScratch,
     /// `peer`'s out-links `(target, weight)` for the overlay-clean test.
     out: Vec<(usize, f64)>,
     candidates: Vec<usize>,
     rows: Vec<LazyRow>,
     g_minus: Option<CsrGraph>,
+    deflation: f64,
+    scan: LazyScan,
 }
 
 impl<'a> LazyRows<'a> {
-    fn new(game: &'a Game, profile: &'a StrategyProfile, peer: PeerId) -> Self {
+    /// An all-unresolved row store for `peer`.
+    ///
+    /// # Errors
+    ///
+    /// [`CoreError::PeerOutOfBounds`] for an out-of-range peer.
+    pub(crate) fn new(
+        game: &'a Game,
+        profile: &'a StrategyProfile,
+        peer: PeerId,
+        cache: &'a mut OracleCache,
+        scratch: &'a mut DijkstraScratch,
+    ) -> Result<Self, CoreError> {
+        let n = game.n();
         let i = peer.index();
+        if i >= n {
+            return Err(CoreError::PeerOutOfBounds { peer: i, n });
+        }
         let out: Vec<(usize, f64)> = profile
             .strategy(peer)
             .iter()
             .map(|t| (t.index(), game.distance(i, t.index())))
             .collect();
-        let candidates: Vec<usize> = (0..game.n()).filter(|&v| v != i).collect();
+        let candidates: Vec<usize> = (0..n).filter(|&v| v != i).collect();
         let rows = (0..candidates.len()).map(|_| LazyRow::Unresolved).collect();
-        LazyRows {
+        Ok(LazyRows {
             game,
             profile,
             peer,
+            cache,
+            scratch,
             out,
             candidates,
             rows,
             g_minus: None,
-        }
+            deflation: metric_deflation(n),
+            scan: LazyScan::default(),
+        })
+    }
+
+    /// The accounting so far.
+    pub(crate) fn scan(&self) -> LazyScan {
+        self.scan
     }
 
     fn assign(&self, v: usize, residual: &[f64]) -> Vec<f64> {
-        let i = self.peer.index();
-        let d_iv = self.game.distance(i, v);
-        self.candidates
-            .iter()
-            .map(|&j| (d_iv + residual[j]) / self.game.distance(i, j))
-            .collect()
+        assign_row(self.game, self.peer.index(), &self.candidates, v, residual)
     }
 
-    /// Tries the two *free exact* tiers (overlay-clean, residual) shared
-    /// with [`ResponseOracle::build_from_cache`]. Returns the exact row
-    /// on a hit.
-    fn try_free_exact(
-        &mut self,
-        k: usize,
-        cache: &mut OracleCache,
-        scan: &mut LazyScan,
-    ) -> Option<Vec<f64>> {
+    /// Tries the two *free exact* tiers (overlay-clean, residual).
+    /// Returns the exact row on a hit.
+    fn try_free_exact(&mut self, k: usize) -> Option<Vec<f64>> {
         let i = self.peer.index();
         let v = self.candidates[k];
-        let overlay = cache.row_is_valid(v).then(|| {
-            let cached = cache.row(v);
+        let overlay = self.cache.row_is_valid(v).then(|| {
+            let cached = self.cache.row(v);
             let d_vi = cached[i];
             self.out
                 .iter()
                 .all(|&(t, w)| !edge_on_path(d_vi, w, cached[t], EDGE_ON_PATH_EPS))
         });
         if overlay == Some(true) {
-            scan.reuse.rows_reused += 1;
-            return Some(self.assign(v, cache.row(v)));
+            self.scan.reuse.rows_reused += 1;
+            return Some(self.assign(v, self.cache.row(v)));
         }
-        if let Some(residual) = cache.residual_row(i, v) {
-            scan.reuse.residual_hits += 1;
+        if let Some(residual) = self.cache.residual_row(i, v) {
+            self.scan.reuse.residual_hits += 1;
             return Some(self.assign(v, residual));
         }
         None
     }
 
-    /// Ensures `rows[k]` holds at least a certified lower bound. Free
-    /// exact tiers are preferred (they cost the same `O(n)` conversion);
-    /// otherwise a valid-but-dirty overlay row, and failing that the
-    /// metric row, serve as the bound — neither pays a sweep.
-    fn ensure_bound(&mut self, k: usize, cache: &mut OracleCache, scan: &mut LazyScan) {
+    /// Ensures `rows[k]` holds at least a certified lower bound and
+    /// returns whether it is exact. Free exact tiers are preferred (they
+    /// cost the same `O(n)` conversion); otherwise a valid-but-dirty
+    /// overlay row, and failing that the deflated metric row, serve as
+    /// the bound — neither pays a sweep.
+    fn ensure_bound(&mut self, k: usize) -> bool {
         if !matches!(self.rows[k], LazyRow::Unresolved) {
-            return;
+            return matches!(self.rows[k], LazyRow::Exact(_));
         }
-        if let Some(exact) = self.try_free_exact(k, cache, scan) {
+        if let Some(exact) = self.try_free_exact(k) {
             self.rows[k] = LazyRow::Exact(exact);
-            return;
+            return true;
         }
         let v = self.candidates[k];
-        let lower = if cache.row_is_valid(v) {
+        let lower = if self.cache.row_is_valid(v) {
             // Valid but dirty: a lower bound on the residual row.
-            self.assign(v, cache.row(v))
+            self.assign(v, self.cache.row(v))
         } else {
-            // Metric lower bound: `D_{G_{-i}}(v, j) ≥ d_met(v, j)`.
             let metric: Vec<f64> = (0..self.game.n())
-                .map(|j| self.game.distance(v, j))
+                .map(|j| self.game.distance(v, j) * self.deflation)
                 .collect();
             self.assign(v, &metric)
         };
         self.rows[k] = LazyRow::Lower(lower);
+        false
     }
 
     /// Ensures `rows[k]` is exact, sweeping `G_{-i}` if no free tier
     /// serves it (and retaining the swept row in the residual tier,
     /// exactly like the eager build).
-    fn ensure_exact(
-        &mut self,
-        k: usize,
-        cache: &mut OracleCache,
-        scratch: &mut DijkstraScratch,
-        scan: &mut LazyScan,
-    ) {
-        if matches!(self.rows[k], LazyRow::Exact(_)) {
-            return;
-        }
-        let from_free = if matches!(self.rows[k], LazyRow::Unresolved) {
-            self.try_free_exact(k, cache, scan)
-        } else {
-            // A `Lower` row already failed both free tiers; nothing in the
-            // cache changes mid-scan except residual rows we store
+    fn ensure_exact(&mut self, k: usize) {
+        match self.rows[k] {
+            LazyRow::Exact(_) => return,
+            LazyRow::Unresolved => {
+                if let Some(exact) = self.try_free_exact(k) {
+                    self.rows[k] = LazyRow::Exact(exact);
+                    return;
+                }
+            }
+            // A `Lower` row already failed both free tiers; nothing in
+            // the cache changes mid-query except residual rows we store
             // ourselves, one per candidate, so re-checking cannot hit.
-            None
-        };
-        if let Some(exact) = from_free {
-            self.rows[k] = LazyRow::Exact(exact);
-            return;
+            LazyRow::Lower(_) => {}
         }
-        scan.reuse.rows_swept += 1;
+        self.scan.reuse.rows_swept += 1;
         if self.g_minus.is_none() {
             let g = topology_without_peer(self.game, self.profile, self.peer)
-                .expect("peer bounds checked by caller");
+                .expect("peer bounds checked in LazyRows::new");
             self.g_minus = Some(CsrGraph::from_digraph(&g));
         }
         let csr = self.g_minus.as_ref().expect("built above");
         let v = self.candidates[k];
-        let buf = csr.dijkstra_row_with(v, scratch);
-        let row = self.assign(v, buf);
-        cache.store_residual(self.peer.index(), v, buf);
+        let buf = csr.dijkstra_row_with(v, self.scratch);
+        let row = assign_row(self.game, self.peer.index(), &self.candidates, v, buf);
+        self.cache.store_residual(self.peer.index(), v, buf);
         self.rows[k] = LazyRow::Exact(row);
+    }
+
+    fn resolved(&self, k: usize) -> &[f64] {
+        match &self.rows[k] {
+            LazyRow::Lower(r) | LazyRow::Exact(r) => r,
+            LazyRow::Unresolved => unreachable!("rows are resolved before they are read"),
+        }
     }
 
     /// `FacilityProblem::cost_of` replicated over the lazy rows: open
@@ -552,11 +561,7 @@ impl<'a> LazyRows<'a> {
         for c in 0..self.candidates.len() {
             let mut best = f64::INFINITY;
             for &k in open {
-                let row = match &self.rows[k] {
-                    LazyRow::Lower(r) | LazyRow::Exact(r) => r,
-                    LazyRow::Unresolved => unreachable!("open rows are resolved before eval"),
-                };
-                let a = row[c];
+                let a = self.resolved(k)[c];
                 if a < best {
                     best = a;
                 }
@@ -567,15 +572,9 @@ impl<'a> LazyRows<'a> {
     }
 
     /// Exact cost of opening `open` (facility positions).
-    fn eval_exact(
-        &mut self,
-        open: &[usize],
-        cache: &mut OracleCache,
-        scratch: &mut DijkstraScratch,
-        scan: &mut LazyScan,
-    ) -> f64 {
+    fn eval_exact(&mut self, open: &[usize]) -> f64 {
         for &k in open {
-            self.ensure_exact(k, cache, scratch, scan);
+            self.ensure_exact(k);
         }
         self.cost_with(open)
     }
@@ -584,9 +583,9 @@ impl<'a> LazyRows<'a> {
     /// `lower ≤ exact` makes every per-client min and hence the total a
     /// lower bound, so a bound that fails the improvement test certifies
     /// the exact cost fails it too.
-    fn eval_lower(&mut self, open: &[usize], cache: &mut OracleCache, scan: &mut LazyScan) -> f64 {
+    fn eval_lower(&mut self, open: &[usize]) -> f64 {
         for &k in open {
-            self.ensure_bound(k, cache, scan);
+            self.ensure_bound(k);
         }
         self.cost_with(open)
     }
@@ -601,116 +600,118 @@ impl<'a> LazyRows<'a> {
             })
             .collect()
     }
-}
 
-/// Satellite-2 lazy better-response scan: [`first_improving_move`]
-/// semantics with per-candidate row resolution.
-///
-/// The eager cached scan ([`ResponseOracle::build_from_cache`] +
-/// [`ResponseOracle::first_improving_move`]) materialises **every**
-/// candidate row before evaluating a single move, so one hub move that
-/// dirties most overlay rows forces ~`n` fresh sweeps on the next scan
-/// even though (at high `α`) almost every candidate move is hopeless.
-/// This variant rejects candidate adds/swaps on **certified lower
-/// bounds** — dirty overlay rows and metric rows, both provably `≤` the
-/// exact residual rows — and escalates to exact rows only for candidates
-/// whose bound survives the improvement test. Drops evaluate exact
-/// directly (their rows are the current links', needed anyway).
-///
-/// Guarantee: the scan visits moves in the identical drop/add/swap order
-/// with the identical improvement predicate, rejection by bound is sound
-/// (`bound ≤ exact`, and the predicate is monotone in cost), and every
-/// accepted move's cost comes from exact rows sourced by the same tier
-/// order as the eager build — so the returned move (or `None`) is
-/// **bit-identical** to the eager scan's.
-pub(crate) fn first_improving_move_lazy(
-    game: &Game,
-    profile: &StrategyProfile,
-    peer: PeerId,
-    cache: &mut OracleCache,
-    scratch: &mut DijkstraScratch,
-    tol: f64,
-) -> Result<(Option<BestResponse>, LazyScan), CoreError> {
-    let n = game.n();
-    if peer.index() >= n {
-        return Err(CoreError::PeerOutOfBounds {
-            peer: peer.index(),
-            n,
-        });
-    }
-    let mut scan = LazyScan::default();
-    let mut rows = LazyRows::new(game, profile, peer);
-    let current = profile.strategy(peer);
-    let current_open = rows.positions(current);
-    let current_cost = rows.eval_exact(&current_open, cache, scratch, &mut scan);
-    let improves = |cost: f64| -> bool {
-        if cost.is_infinite() {
-            return false;
-        }
-        if current_cost.is_infinite() {
-            return true;
-        }
-        cost < current_cost - tol * (1.0 + current_cost.abs())
-    };
-    let wrap = |links: LinkSet, cost: f64| BestResponse {
-        peer,
-        links,
-        cost,
-        current_cost,
-        exact: false,
-    };
+    /// [`first_improving_move`] semantics over lazily resolved rows.
+    ///
+    /// Candidate adds and swaps are rejected on **certified lower
+    /// bounds** and escalate to exact rows only when the bound survives
+    /// the improvement test. Drops evaluate exact directly (their rows
+    /// are the current links', needed anyway for the current cost).
+    ///
+    /// The scan visits moves in the identical drop/add/swap order with
+    /// the identical improvement predicate, rejection by bound is sound
+    /// (`bound ≤ exact`, and the predicate is monotone in cost), and
+    /// every accepted move's cost comes from exact rows — so the
+    /// returned move (or `None`) is bit-identical to the fresh oracle's.
+    pub(crate) fn first_improving_move(&mut self, tol: f64) -> Option<BestResponse> {
+        let (peer, profile) = (self.peer, self.profile);
+        let current = profile.strategy(peer);
+        let current_open = self.positions(current);
+        let current_cost = self.eval_exact(&current_open);
+        let improves = |cost: f64| -> bool {
+            if cost.is_infinite() {
+                return false;
+            }
+            if current_cost.is_infinite() {
+                return true;
+            }
+            cost < current_cost - tol * (1.0 + current_cost.abs())
+        };
+        let wrap = |links: LinkSet, cost: f64| BestResponse {
+            peer,
+            links,
+            cost,
+            current_cost,
+            exact: false,
+        };
 
-    // Drops: all rows involved are current-link rows, already exact.
-    for j in current.iter() {
-        let cand = current.without(j);
-        let open = rows.positions(&cand);
-        let c = rows.eval_exact(&open, cache, scratch, &mut scan);
-        if improves(c) {
-            return Ok((Some(wrap(cand, c)), scan));
+        // Drops: all rows involved are current-link rows, already exact.
+        for j in current.iter() {
+            let cand = current.without(j);
+            let open = self.positions(&cand);
+            let c = self.eval_exact(&open);
+            if improves(c) {
+                return Some(wrap(cand, c));
+            }
         }
-    }
-    // Adds: bound first, escalate only on a surviving bound.
-    let candidates = rows.candidates.clone();
-    for &v in &candidates {
-        let vp = PeerId::new(v);
-        if current.contains(vp) {
-            continue;
-        }
-        let cand = current.with(vp);
-        let open = rows.positions(&cand);
-        let lb = rows.eval_lower(&open, cache, &mut scan);
-        if !improves(lb) {
-            scan.certified_rejects += 1;
-            continue;
-        }
-        scan.exact_evals += 1;
-        let c = rows.eval_exact(&open, cache, scratch, &mut scan);
-        if improves(c) {
-            return Ok((Some(wrap(cand, c)), scan));
-        }
-    }
-    // Swaps.
-    for j in current.iter() {
-        for &v in &candidates {
+        // Adds, then swaps: bound first, escalate only on a surviving
+        // bound.
+        let adds = self.candidates.iter().map(|&v| (None, v));
+        let swaps = current
+            .iter()
+            .flat_map(|j| self.candidates.iter().map(move |&v| (Some(j), v)));
+        let moves: Vec<(Option<PeerId>, usize)> = adds.chain(swaps).collect();
+        for (drop, v) in moves {
             let vp = PeerId::new(v);
             if current.contains(vp) {
                 continue;
             }
-            let cand = current.without(j).with(vp);
-            let open = rows.positions(&cand);
-            let lb = rows.eval_lower(&open, cache, &mut scan);
-            if !improves(lb) {
-                scan.certified_rejects += 1;
+            let cand = match drop {
+                Some(j) => current.without(j).with(vp),
+                None => current.with(vp),
+            };
+            let open = self.positions(&cand);
+            if !improves(self.eval_lower(&open)) {
+                self.scan.certified_rejects += 1;
                 continue;
             }
-            scan.exact_evals += 1;
-            let c = rows.eval_exact(&open, cache, scratch, &mut scan);
+            self.scan.exact_evals += 1;
+            let c = self.eval_exact(&open);
             if improves(c) {
-                return Ok((Some(wrap(cand, c)), scan));
+                return Some(wrap(cand, c));
             }
         }
+        None
     }
-    Ok((None, scan))
+
+    /// The Greedy best response over lazily resolved rows: the one
+    /// [`solve_greedy_over`] implementation, with this store as its row
+    /// source. Returns the chosen links and their cost, bit-identical to
+    /// [`ResponseOracle::solve`] with [`BestResponseMethod::Greedy`] on a
+    /// fresh oracle.
+    pub(crate) fn greedy(&mut self) -> (LinkSet, f64) {
+        let (sol, work) = solve_greedy_over(self);
+        self.scan.certified_rejects += work.certified_rejects;
+        self.scan.exact_evals += work.escalations;
+        let links: LinkSet = sol.open.iter().map(|&f| self.candidates[f]).collect();
+        (links, sol.cost)
+    }
+}
+
+impl GreedyRows for LazyRows<'_> {
+    fn facility_count(&self) -> usize {
+        self.candidates.len()
+    }
+
+    fn client_count(&self) -> usize {
+        self.candidates.len()
+    }
+
+    fn open_cost(&self, _f: usize) -> f64 {
+        self.game.alpha()
+    }
+
+    fn bound(&mut self, f: usize) -> bool {
+        self.ensure_bound(f)
+    }
+
+    fn exact(&mut self, f: usize) {
+        self.ensure_exact(f);
+    }
+
+    fn row(&self, f: usize) -> &[f64] {
+        self.resolved(f)
+    }
 }
 
 /// Computes `peer`'s best response to `profile` (all other strategies
@@ -790,10 +791,91 @@ pub fn first_improving_move(
 mod tests {
     use super::*;
     use crate::{peer_cost, social_cost};
+    use sp_graph::DistanceMatrix;
     use sp_metric::LineSpace;
 
     fn line_game(alpha: f64) -> Game {
         Game::from_space(&LineSpace::new(vec![0.0, 1.0, 2.0, 3.0]).unwrap(), alpha).unwrap()
+    }
+
+    /// On these line positions `fl(c − a)` exceeds the path sum
+    /// `fl(fl(b − a) + fl(c − b))` Dijkstra computes over `a → b → c`.
+    const BROKEN_TRIPLE: [f64; 3] = [
+        3.845_338_943_564_591_3,
+        33.387_954_726_624_71,
+        98.692_248_909_096_89,
+    ];
+
+    /// Every lower-bound row a fresh lazy store hands out (all overlay
+    /// rows invalid, so every bound is the deflated metric row) is
+    /// entrywise `≤` the exact row of a fresh `G_{-i}` oracle.
+    fn assert_bounds_below_exact(game: &Game, profile: &StrategyProfile) {
+        for i in 0..game.n() {
+            let peer = PeerId::new(i);
+            let exact = ResponseOracle::build(game, profile, peer).unwrap();
+            let mut cache = OracleCache::new(game.n());
+            let mut scratch = DijkstraScratch::new();
+            let mut rows = LazyRows::new(game, profile, peer, &mut cache, &mut scratch).unwrap();
+            for k in 0..game.n() - 1 {
+                rows.ensure_bound(k);
+                for (c, (&lo, &ex)) in rows
+                    .resolved(k)
+                    .iter()
+                    .zip(exact.problem.assignment_row(k))
+                    .enumerate()
+                {
+                    assert!(
+                        lo <= ex,
+                        "peer {i} facility {k} client {c}: bound {lo} > exact {ex}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn deflated_metric_bound_covers_float_triangle_violations() {
+        let [a, b, c] = BROKEN_TRIPLE;
+        let game = Game::from_space(&LineSpace::new(vec![a, b, c]).unwrap(), 1.0).unwrap();
+        let chain = StrategyProfile::from_links(3, &[(0, 1), (1, 2)]).unwrap();
+        let csr = CsrGraph::from_digraph(&crate::topology(&game, &chain).unwrap());
+        let path_sum = csr.dijkstra_row_with(0, &mut DijkstraScratch::new())[2];
+        assert!(
+            game.distance(0, 2) > path_sum,
+            "the raw metric is not a bound here"
+        );
+        assert!(game.distance(0, 2) * metric_deflation(3) <= path_sum);
+
+        // Through the lazy store, with a peer far off the triple and one
+        // right next to it (so the ulp survives the assignment division).
+        for extra in [0.5, a - 1e-3, 150.0] {
+            let game =
+                Game::from_space(&LineSpace::new(vec![a, b, c, extra]).unwrap(), 1.0).unwrap();
+            let links = [(0, 1), (1, 2), (2, 1), (1, 0), (3, 0), (0, 3)];
+            assert_bounds_below_exact(&game, &StrategyProfile::from_links(4, &links).unwrap());
+        }
+    }
+
+    #[test]
+    fn deflated_metric_bound_covers_the_validation_tolerance() {
+        // d(0, 2) sits just inside the tolerance the triangle check
+        // allows, so the path 0 → 1 → 2 is shorter than the metric.
+        let slack = 1.0 + 0.9 * METRIC_TRIANGLE_TOLERANCE;
+        let d02 = (40.0 + 60.0) * slack;
+        let m = DistanceMatrix::from_row_major(
+            4,
+            vec![
+                0.0, 40.0, d02, 70.0, //
+                40.0, 0.0, 60.0, 50.0, //
+                d02, 60.0, 0.0, 80.0, //
+                70.0, 50.0, 80.0, 0.0,
+            ],
+        )
+        .unwrap();
+        let game = Game::new(m, 1.0).unwrap();
+        game.check_triangle_inequality().unwrap();
+        let links = [(0, 1), (1, 2), (2, 1), (1, 0), (3, 1), (1, 3)];
+        assert_bounds_below_exact(&game, &StrategyProfile::from_links(4, &links).unwrap());
     }
 
     #[test]

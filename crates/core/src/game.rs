@@ -29,8 +29,9 @@ enum MetricStore {
 /// The distance matrix must be a valid finite metric restricted to what can
 /// be checked in `O(n²)`: symmetric, zero diagonal, positive finite
 /// off-diagonal. (The triangle inequality is `O(n³)` to check; call
-/// [`sp_metric::validate_metric`] on the source space when in doubt —
-/// constructors here trust it.)
+/// [`Game::check_triangle_inequality`] on a matrix from outside input —
+/// constructors here trust it, and the session's cached best-response
+/// oracles rely on it within [`METRIC_TRIANGLE_TOLERANCE`].)
 ///
 /// Games built through [`Game::new`] / [`Game::from_space`] store the
 /// matrix **densely** (`O(n²)`), which is exact and fine up to a few
@@ -55,6 +56,16 @@ pub struct Game {
     metric: MetricStore,
     alpha: f64,
 }
+
+/// Relative slack [`Game::check_triangle_inequality`] allows per
+/// triangle: it accepts `d(i, k) ≤ (d(i, j) + d(j, k)) · (1 + tol)`.
+///
+/// Matrices computed in floating point (Euclidean distances rounded
+/// entry by entry) break exact triangles by a few ulps, so an exact check
+/// would reject honest input. The lazy best-response oracles use metric
+/// rows as lower bounds on shortest-path sums and deflate them to cover
+/// this slack compounded over the longest possible path.
+pub const METRIC_TRIANGLE_TOLERANCE: f64 = 1e-9;
 
 fn validate_alpha(alpha: f64) -> Result<(), CoreError> {
     if !alpha.is_finite() || alpha <= 0.0 {
@@ -232,6 +243,40 @@ impl Game {
         }
     }
 
+    /// Checks the triangle inequality over every ordered triple, within
+    /// the relative [`METRIC_TRIANGLE_TOLERANCE`]: `O(n³)` on a dense
+    /// game. Implicit line metrics satisfy it by construction and return
+    /// at once.
+    ///
+    /// # Errors
+    ///
+    /// [`CoreError::Metric`] with [`MetricError::TriangleViolation`] for
+    /// the first triple `(i, j, k)`, in ascending order, where
+    /// `d(i, k) > (d(i, j) + d(j, k)) · (1 + tol)`.
+    pub fn check_triangle_inequality(&self) -> Result<(), CoreError> {
+        let MetricStore::Dense(dist) = &self.metric else {
+            return Ok(());
+        };
+        let n = dist.len();
+        let slack = 1.0 + METRIC_TRIANGLE_TOLERANCE;
+        for i in 0..n {
+            for j in 0..n {
+                let d_ij = dist[(i, j)];
+                for k in 0..n {
+                    // sp-lint: allow(float-eps, reason = "the relative slack is the tolerance; this is the validation that defines it")
+                    if (d_ij + dist[(j, k)]) * slack < dist[(i, k)] {
+                        return Err(CoreError::Metric(MetricError::TriangleViolation {
+                            i,
+                            j,
+                            k,
+                        }));
+                    }
+                }
+            }
+        }
+        Ok(())
+    }
+
     /// A copy of this game with a different `α` (same metric).
     ///
     /// # Errors
@@ -254,6 +299,37 @@ mod tests {
     fn line_game() -> Game {
         let s = LineSpace::new(vec![0.0, 1.0, 3.0, 7.0]).unwrap();
         Game::from_space(&s, 1.5).unwrap()
+    }
+
+    #[test]
+    fn triangle_check_accepts_metrics_and_rejects_violations() {
+        assert!(line_game().check_triangle_inequality().is_ok());
+        let line = Game::from_line_positions(vec![0.0, 1.0, 5.0], 1.0).unwrap();
+        assert!(line.check_triangle_inequality().is_ok());
+        // d(0, 2) = 10 > d(0, 1) + d(1, 2) = 2.
+        let m =
+            DistanceMatrix::from_row_major(3, vec![0.0, 1.0, 10.0, 1.0, 0.0, 1.0, 10.0, 1.0, 0.0])
+                .unwrap();
+        let g = Game::new(m, 1.0).unwrap();
+        assert!(matches!(
+            g.check_triangle_inequality(),
+            Err(CoreError::Metric(MetricError::TriangleViolation {
+                i: 0,
+                j: 1,
+                k: 2
+            }))
+        ));
+        // A one-ulp violation is within tolerance.
+        let (a, b, c) = (
+            3.845_338_943_564_591_3,
+            33.387_954_726_624_71,
+            98.692_248_909_096_89,
+        );
+        let space = LineSpace::new(vec![a, b, c]).unwrap();
+        assert!(Game::from_space(&space, 1.0)
+            .unwrap()
+            .check_triangle_inequality()
+            .is_ok());
     }
 
     #[test]

@@ -114,7 +114,7 @@ pub use backend::{BackendMode, DenseBackend, DistanceBackend};
 pub use best_response::{best_response, first_improving_move, BestResponse, BestResponseMethod};
 pub use cost::{all_peer_costs, peer_cost, social_cost, SocialCost};
 pub use error::CoreError;
-pub use game::Game;
+pub use game::{Game, METRIC_TRIANGLE_TOLERANCE};
 pub use peer::{LinkSet, PeerId};
 pub use session::{GameSession, Move, SessionSnapshot, SessionStats};
 pub use sparse::{SparseBackend, SparseParams};

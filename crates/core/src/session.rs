@@ -48,6 +48,13 @@
 //! property-tested bit-identical against, and the baseline the
 //! `sequential_reuse` bench measures the cache's savings from.
 //!
+//! Better responses and Greedy best responses read the cache lazily:
+//! each candidate row starts as a certified lower bound (a valid but
+//! dirty overlay row, else the metric row deflated for rounding and the
+//! accepted triangle slack) and pays for an exact `G_{-i}` row only
+//! while that bound can still strictly beat the incumbent move or
+//! greedy pick.
+//!
 //! [`SessionStats`] counts the sweeps actually performed, so benchmarks
 //! and tests can verify the cache earns its keep.
 //!
@@ -69,7 +76,7 @@ use std::sync::Arc;
 use sp_graph::{CsrGraph, DiGraph, DijkstraScratch, DistanceMatrix};
 
 use crate::backend::{BackendMode, DenseBackend, SessionBackend};
-use crate::best_response::{first_improving_move_lazy, OracleReuse, ResponseOracle};
+use crate::best_response::{LazyRows, OracleReuse, ResponseOracle};
 use crate::cost::peer_cost_from_distances;
 use crate::equilibrium::{Deviation, NashReport, NashTest};
 use crate::sparse::{LocalCounts, SparseBackend, SparseParams};
@@ -164,6 +171,8 @@ pub struct SessionStats {
     pub oracle_rows_reused: usize,
     /// Oracle candidate rows that did pay a fresh `G_{-i}` sweep (the
     /// candidate's shortest paths may route through the responding peer).
+    /// Lazy (Greedy) round queries count only the rows they made exact;
+    /// rows their bounds settled appear in neither round counter.
     pub oracle_rows_swept: usize,
     /// Candidate rows served without a sweep by **sequential** cached
     /// oracle builds ([`GameSession::best_response`],
@@ -171,6 +180,9 @@ pub struct SessionStats {
     /// overlay-row reuse plus residual-row hits. The round engine's
     /// reuse is counted separately in
     /// [`SessionStats::oracle_rows_reused`].
+    /// Lazy queries (better responses, Greedy) count only the rows they
+    /// made exact; rows their bounds settled appear in neither this nor
+    /// [`SessionStats::seq_oracle_swept`].
     pub seq_oracle_hits: usize,
     /// Residual `G_{-i}` rows dropped by [`GameSession::apply`] /
     /// [`GameSession::apply_batch`] repair because a removed link (owned
@@ -208,13 +220,16 @@ pub struct SessionStats {
     /// `first_improving_move`, and `local_response` on instances small
     /// enough that the window covers every peer).
     pub sparse_exact_fallbacks: usize,
-    /// Candidate moves the lazy oracle scan
-    /// ([`GameSession::set_lazy_oracle`]) rejected on a certified lower
-    /// bound alone — each one skips materialising an exact row that the
-    /// eager scan would have swept or converted.
+    /// Candidate evaluations the lazy certified-bound oracle settled on a
+    /// lower-bound row alone: single-link moves rejected by a cached
+    /// [`GameSession::first_improving_move`], and facility scores a
+    /// cached [`BestResponseMethod::Greedy`] response (`best_response`,
+    /// `nash_gap`, `is_nash`, `best_responses_round`) dropped. Each one
+    /// skips the exact rows an eager oracle would have swept or
+    /// converted.
     pub lazy_certified_rejects: usize,
-    /// Candidate moves whose lazy lower bound survived the improvement
-    /// test and therefore paid exact escalation.
+    /// Candidate evaluations of the same paths whose lower bound could
+    /// still win and therefore paid for exact rows.
     pub lazy_exact_evals: usize,
 }
 
@@ -363,11 +378,6 @@ pub struct GameSession {
     scratch: DijkstraScratch,
     /// Worker-thread override for bulk row refills; `None` = auto.
     parallelism: Option<usize>,
-    /// When set (dense sessions only), [`GameSession::first_improving_move`]
-    /// runs the lazy certified-bound scan instead of the eager cached
-    /// oracle build. Off by default; opt in via
-    /// [`GameSession::set_lazy_oracle`].
-    lazy_oracle: bool,
     stats: SessionStats,
 }
 
@@ -402,7 +412,6 @@ impl GameSession {
             stretch: None,
             scratch: DijkstraScratch::new(),
             parallelism: None,
-            lazy_oracle: false,
             stats: SessionStats::default(),
         })
     }
@@ -454,7 +463,6 @@ impl GameSession {
             stretch: None,
             scratch: DijkstraScratch::new(),
             parallelism: None,
-            lazy_oracle: false,
             stats: SessionStats::default(),
         })
     }
@@ -475,16 +483,6 @@ impl GameSession {
         } else {
             None
         }
-    }
-
-    /// Routes [`GameSession::first_improving_move`] through the lazy
-    /// certified-bound oracle scan (dense sessions only; sparse sessions
-    /// ignore the flag — their fallback path is already exact). The lazy
-    /// scan returns **bit-identical** moves while skipping exact row
-    /// materialisation for candidates rejected on a certified lower
-    /// bound; see [`SessionStats::lazy_certified_rejects`].
-    pub fn set_lazy_oracle(&mut self, on: bool) {
-        self.lazy_oracle = on;
     }
 
     /// The game being evaluated.
@@ -554,7 +552,6 @@ impl GameSession {
             stretch: None,
             scratch: DijkstraScratch::new(),
             parallelism: Some(1),
-            lazy_oracle: self.lazy_oracle,
             stats: SessionStats::default(),
         }
     }
@@ -1251,12 +1248,22 @@ impl GameSession {
     /// per-move, consecutive activations in sequential dynamics serve
     /// most candidate rows without sweeping.
     ///
-    /// Fills the whole distance cache on first use. Bit-identical to
-    /// [`GameSession::best_response_uncached`] (property-tested in
-    /// `crates/core/tests/proptest_session.rs`, including across
-    /// arbitrary interleaved `apply` sequences); cache tier accounting
-    /// lands in [`SessionStats::seq_oracle_hits`] /
-    /// [`SessionStats::seq_oracle_swept`].
+    /// [`BestResponseMethod::Greedy`] runs on the lazy certified-bound
+    /// oracle: every candidate row starts as a lower bound (a valid but
+    /// dirty overlay row, else the deflated metric row), the greedy drops
+    /// a candidate whose bound cannot beat its running pick, and only
+    /// rows that still can are made exact — nothing is refilled up
+    /// front. The other methods make every candidate row exact first,
+    /// refilling the invalid overlay rows no residual row covers.
+    ///
+    /// Bit-identical to [`GameSession::best_response_uncached`]
+    /// (property-tested in `crates/core/tests/proptest_session.rs` and
+    /// `proptest_lazy_oracle.rs`, including across arbitrary interleaved
+    /// `apply` sequences); cache tier accounting lands in
+    /// [`SessionStats::seq_oracle_hits`] /
+    /// [`SessionStats::seq_oracle_swept`], and the Greedy bound outcomes
+    /// in [`SessionStats::lazy_certified_rejects`] /
+    /// [`SessionStats::lazy_exact_evals`].
     ///
     /// # Errors
     ///
@@ -1290,7 +1297,8 @@ impl GameSession {
         let oracle =
             ResponseOracle::build_with(&self.game, &self.profile, peer, &mut self.scratch)?;
         self.stats.oracle_builds += 1;
-        self.finish_response(peer, method, &oracle, current_cost)
+        let solved = oracle.solve(method)?;
+        Ok(self.finish_response(peer, method, solved, current_cost))
     }
 
     /// The response on a game too small to have candidates (`n <= 1`):
@@ -1365,8 +1373,24 @@ impl GameSession {
         }
     }
 
-    /// Builds the cached oracle for `peer` and counts its row accounting
-    /// into the requested [`SessionStats`] bucket.
+    /// Counts one cached oracle query and its row accounting into the
+    /// requested [`SessionStats`] bucket.
+    fn count_oracle(&mut self, counter: OracleCounter, reuse: OracleReuse) {
+        self.stats.oracle_builds += 1;
+        match counter {
+            OracleCounter::Sequential => {
+                self.stats.seq_oracle_hits += reuse.hits();
+                self.stats.seq_oracle_swept += reuse.rows_swept;
+            }
+            OracleCounter::Round => {
+                self.stats.oracle_rows_reused += reuse.hits();
+                self.stats.oracle_rows_swept += reuse.rows_swept;
+            }
+        }
+    }
+
+    /// Builds the eager cached oracle for `peer` (every candidate row
+    /// exact up front) — the path of the exact and local-search methods.
     fn cached_oracle(
         &mut self,
         peer: PeerId,
@@ -1380,18 +1404,35 @@ impl GameSession {
             self.backend.dense_mut(),
             &mut self.scratch,
         )?;
-        self.stats.oracle_builds += 1;
-        match counter {
-            OracleCounter::Sequential => {
-                self.stats.seq_oracle_hits += reuse.hits();
-                self.stats.seq_oracle_swept += reuse.rows_swept;
-            }
-            OracleCounter::Round => {
-                self.stats.oracle_rows_reused += reuse.hits();
-                self.stats.oracle_rows_swept += reuse.rows_swept;
-            }
-        }
+        self.count_oracle(counter, reuse);
         Ok(oracle)
+    }
+
+    /// Runs `query` over the lazy certified-bound rows for `peer` (dense
+    /// sessions): no overlay refill up front, and a candidate row pays a
+    /// `G_{-i}` sweep only while its lower bound can still win. Counts
+    /// the row accounting into `counter`'s bucket and the bound outcomes
+    /// into [`SessionStats::lazy_certified_rejects`] /
+    /// [`SessionStats::lazy_exact_evals`].
+    fn lazy_query<T>(
+        &mut self,
+        peer: PeerId,
+        counter: OracleCounter,
+        query: impl FnOnce(&mut LazyRows<'_>) -> T,
+    ) -> Result<T, CoreError> {
+        let mut rows = LazyRows::new(
+            &self.game,
+            &self.profile,
+            peer,
+            self.backend.dense_mut(),
+            &mut self.scratch,
+        )?;
+        let out = query(&mut rows);
+        let scan = rows.scan();
+        self.count_oracle(counter, scan.reuse);
+        self.stats.lazy_certified_rejects += scan.certified_rejects;
+        self.stats.lazy_exact_evals += scan.exact_evals;
+        Ok(out)
     }
 
     /// Shared body of the cached response paths.
@@ -1413,42 +1454,46 @@ impl GameSession {
             let oracle =
                 ResponseOracle::build_with(&self.game, &self.profile, peer, &mut self.scratch)?;
             self.stats.oracle_builds += 1;
-            return self.finish_response(peer, method, &oracle, current_cost);
+            let solved = oracle.solve(method)?;
+            return Ok(self.finish_response(peer, method, solved, current_cost));
         }
-        let oracle = self.cached_oracle(peer, counter)?;
-        self.finish_response(peer, method, &oracle, current_cost)
+        let solved = if method == BestResponseMethod::Greedy {
+            self.lazy_query(peer, counter, |rows| rows.greedy())?
+        } else {
+            self.cached_oracle(peer, counter)?.solve(method)?
+        };
+        Ok(self.finish_response(peer, method, solved, current_cost))
     }
 
-    /// Shared tail of the oracle-backed response paths: solve the UFL
-    /// instance and fall back to the current strategy when a heuristic
-    /// comes out worse.
+    /// Shared tail of the oracle-backed response paths: take the solved
+    /// UFL instance, falling back to the current strategy when a
+    /// heuristic comes out worse.
     fn finish_response(
-        &mut self,
+        &self,
         peer: PeerId,
         method: BestResponseMethod,
-        oracle: &ResponseOracle,
+        (links, cost): (LinkSet, f64),
         current_cost: f64,
-    ) -> Result<BestResponse, CoreError> {
-        let (links, cost) = oracle.solve(method)?;
+    ) -> BestResponse {
         // sp-lint: allow(float-eps, reason = "conservative accept: a heuristic tie or epsilon-worse solution keeps the current strategy, which is always valid")
         if cost > current_cost {
             // Heuristics may come out worse; keeping the current strategy
             // is then the better (valid) response.
-            return Ok(BestResponse {
+            return BestResponse {
                 peer,
                 links: self.profile.strategy(peer).clone(),
                 cost: current_cost,
                 current_cost,
                 exact: method.is_exact(),
-            });
+            };
         }
-        Ok(BestResponse {
+        BestResponse {
             peer,
             links,
             cost,
             current_cost,
             exact: method.is_exact(),
-        })
+        }
     }
 
     /// Best responses of every peer in `peers` against the **frozen**
@@ -1570,8 +1615,15 @@ impl GameSession {
 
     /// First strictly improving single-link move for `peer` (drop, add,
     /// swap — in that order), or `None`; the "better response" used by
-    /// low-churn dynamics. Served from the persistent oracle cache
-    /// like [`GameSession::best_response`]; bit-identical to
+    /// low-churn dynamics.
+    ///
+    /// Served by the lazy certified-bound oracle over the persistent
+    /// cache: each candidate row starts as a lower bound (a valid but
+    /// dirty overlay row, else the deflated metric row), adds and swaps
+    /// whose bound cannot pass the improvement test are rejected on it,
+    /// and only survivors pay for exact rows (overlay-clean, residual,
+    /// or a fresh `G_{-i}` sweep that the residual tier keeps). No overlay
+    /// row is refilled up front. Bit-identical to
     /// [`GameSession::first_improving_move_uncached`].
     ///
     /// # Errors
@@ -1589,28 +1641,9 @@ impl GameSession {
             self.stats.sparse_exact_fallbacks += 1;
             return self.first_improving_move_uncached(peer, tol);
         }
-        if self.lazy_oracle {
-            // Satellite path: certified lower bounds reject hopeless
-            // candidates without materialising their exact rows; the
-            // accepted move (or `None`) is bit-identical to the eager
-            // scan below.
-            let (mv, scan) = first_improving_move_lazy(
-                &self.game,
-                &self.profile,
-                peer,
-                self.backend.dense_mut(),
-                &mut self.scratch,
-                tol,
-            )?;
-            self.stats.oracle_builds += 1;
-            self.stats.seq_oracle_hits += scan.reuse.hits();
-            self.stats.seq_oracle_swept += scan.reuse.rows_swept;
-            self.stats.lazy_certified_rejects += scan.certified_rejects;
-            self.stats.lazy_exact_evals += scan.exact_evals;
-            return Ok(mv);
-        }
-        let oracle = self.cached_oracle(peer, OracleCounter::Sequential)?;
-        Ok(oracle.first_improving_move(peer, self.profile.strategy(peer), tol))
+        self.lazy_query(peer, OracleCounter::Sequential, |rows| {
+            rows.first_improving_move(tol)
+        })
     }
 
     /// Like [`GameSession::first_improving_move`], but always sweeps a

@@ -400,15 +400,18 @@ proptest! {
         for i in 0..game.n() {
             check(&mut s, PeerId::new(i))?;
         }
-        // Accounting: every candidate row of every sequential cached
-        // build was either served from a cache tier or swept.
+        // Accounting: every candidate row of every eager (Exact) build
+        // was either served from a cache tier or swept; the lazy
+        // better-response scan resolves each row at most once, and
+        // leaves rows its bounds settled unresolved.
         let stats = s.stats();
         let n = game.n();
-        let cached_builds = 2 * (2 * script.len() + n);
-        prop_assert_eq!(
-            stats.seq_oracle_hits + stats.seq_oracle_swept,
-            cached_builds * (n - 1),
-            "sequential oracle row accounting must balance"
+        let builds_per_kind = 2 * script.len() + n;
+        let rows = stats.seq_oracle_hits + stats.seq_oracle_swept;
+        prop_assert!(
+            rows >= builds_per_kind * (n - 1) && rows <= 2 * builds_per_kind * (n - 1),
+            "sequential oracle row accounting must balance: {} rows",
+            rows
         );
     }
 }

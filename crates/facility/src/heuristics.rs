@@ -78,12 +78,103 @@ fn open_cost_sum(p: &FacilityProblem, open: &[usize]) -> f64 {
     open.iter().map(|&f| p.open_cost(f)).sum()
 }
 
+/// Where [`solve_greedy_over`] reads a UFL instance's assignment rows.
+///
+/// A source may hand out a row first as a **certified lower bound**
+/// (every entry `≤` the exact entry) and make it exact only when the
+/// greedy asks. [`FacilityProblem`] serves every row exact; the
+/// selfish-peers session serves cached shortest-path rows this way, so
+/// a candidate link whose bound already loses never pays the sweep
+/// behind its exact row.
+pub trait GreedyRows {
+    /// Number of facilities.
+    fn facility_count(&self) -> usize;
+    /// Number of clients (the length of every row).
+    fn client_count(&self) -> usize;
+    /// Opening cost of facility `f`.
+    fn open_cost(&self, f: usize) -> f64;
+    /// Makes row `f` readable through [`GreedyRows::row`] as at least a
+    /// certified lower bound, and returns whether it is already exact.
+    fn bound(&mut self, f: usize) -> bool;
+    /// Makes row `f` exact.
+    fn exact(&mut self, f: usize);
+    /// Row `f` as last resolved by [`GreedyRows::bound`] or
+    /// [`GreedyRows::exact`].
+    fn row(&self, f: usize) -> &[f64];
+}
+
+impl GreedyRows for &FacilityProblem {
+    fn facility_count(&self) -> usize {
+        FacilityProblem::facility_count(self)
+    }
+
+    fn client_count(&self) -> usize {
+        FacilityProblem::client_count(self)
+    }
+
+    fn open_cost(&self, f: usize) -> f64 {
+        FacilityProblem::open_cost(self, f)
+    }
+
+    fn bound(&mut self, _f: usize) -> bool {
+        true
+    }
+
+    fn exact(&mut self, _f: usize) {}
+
+    fn row(&self, f: usize) -> &[f64] {
+        self.assignment_row(f)
+    }
+}
+
+/// What one [`solve_greedy_over`] run read: facility evaluations a
+/// lower-bound row settled on its own, and those that had to make their
+/// row exact. Both stay 0 over a source whose rows are all exact.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct GreedyWork {
+    /// Evaluations rejected on a lower-bound row without making it exact.
+    pub certified_rejects: usize,
+    /// Evaluations whose lower-bound row could still win and so was
+    /// made exact.
+    pub escalations: usize,
+}
+
+/// Score of opening one more facility with assignment row `row` on top
+/// of the per-client incumbents `best_v`, or `None` as soon as a partial
+/// score shows it cannot strictly beat `bound`.
+///
+/// The early exit is exact: every term is non-negative, and IEEE
+/// addition of a non-negative term never decreases a sum, so neither
+/// the unserved count nor the finite part of a partial score can shrink
+/// as more clients are added. A full score is summed in client order
+/// from the opening cost, so a surviving score is bit-identical to the
+/// textbook computation.
+fn score_within(open_cost: f64, best_v: &[f64], row: &[f64], bound: Score) -> Option<Score> {
+    let mut partial = Score {
+        unserved: 0,
+        finite_cost: open_cost,
+    };
+    for (&b, &a) in best_v.iter().zip(row) {
+        let v = b.min(a);
+        if v.is_finite() {
+            partial.finite_cost += v;
+        } else {
+            partial.unserved += 1;
+        }
+        if !partial.better_than(bound) {
+            return None;
+        }
+    }
+    partial.better_than(bound).then_some(partial)
+}
+
 /// Classic greedy: repeatedly open the facility with the best marginal
 /// improvement, stopping when nothing improves.
 ///
 /// Runs in `O(F² · C)`. Gives the standard `O(log C)`-approximation for
 /// UFL; exactness is *not* guaranteed — use the exact solvers when the
-/// result feeds a Nash-equilibrium verdict.
+/// result feeds a Nash-equilibrium verdict. See [`solve_greedy_over`]
+/// for the evaluation order and tie-breaking.
 ///
 /// # Example
 ///
@@ -99,13 +190,33 @@ fn open_cost_sum(p: &FacilityProblem, open: &[usize]) -> f64 {
 /// ```
 #[must_use]
 pub fn solve_greedy(p: &FacilityProblem) -> FacilitySolution {
-    let nf = p.facility_count();
-    let nc = p.client_count();
+    let mut rows = p;
+    solve_greedy_over(&mut rows).0
+}
+
+/// [`solve_greedy`] over any [`GreedyRows`] source.
+///
+/// Each pass scans the closed facilities in index order against the
+/// running pick (at first, the current open set): a facility replaces
+/// the pick only when its score is strictly better, so the first index
+/// wins ties. A facility is dropped as soon as a partial score cannot
+/// beat the running pick. Lower-bound rows are scored first; since a
+/// lower-bound score never beats a bound its exact score cannot, a row
+/// is made exact only when its lower-bound score still wins. Opened rows
+/// are always exact, so the open set and cost are bit-identical to the
+/// textbook greedy over the exact rows, whatever bounds the source hands
+/// out.
+#[must_use]
+pub fn solve_greedy_over<R: GreedyRows>(rows: &mut R) -> (FacilitySolution, GreedyWork) {
+    let nf = rows.facility_count();
+    let nc = rows.client_count();
+    let mut work = GreedyWork::default();
     if nc == 0 {
-        return FacilitySolution {
+        let empty = FacilitySolution {
             open: Vec::new(),
             cost: 0.0,
         };
+        return (empty, work);
     }
     let mut open: Vec<usize> = Vec::new();
     let mut is_open = vec![false; nf];
@@ -121,19 +232,31 @@ pub fn solve_greedy(p: &FacilityProblem) -> FacilitySolution {
             if is_open[f] {
                 continue;
             }
-            let oc = open_cost_sum(p, &open) + p.open_cost(f);
-            let cand =
-                score_from_values(oc, (0..nc).map(|c| best_v[c].min(p.assignment_cost(f, c))));
-            if cand.better_than(cur) && pick.is_none_or(|(_, s)| cand.better_than(s)) {
-                pick = Some((f, cand));
+            let oc = open.iter().map(|&g| rows.open_cost(g)).sum::<f64>() + rows.open_cost(f);
+            let bound = pick.map_or(cur, |(_, s)| s);
+            let exact = rows.bound(f);
+            let Some(s) = score_within(oc, &best_v, rows.row(f), bound) else {
+                if !exact {
+                    work.certified_rejects += 1;
+                }
+                continue;
+            };
+            if exact {
+                pick = Some((f, s));
+                continue;
+            }
+            work.escalations += 1;
+            rows.exact(f);
+            if let Some(s) = score_within(oc, &best_v, rows.row(f), bound) {
+                pick = Some((f, s));
             }
         }
         match pick {
             Some((f, s)) => {
                 is_open[f] = true;
                 open.push(f);
-                for c in 0..nc {
-                    best_v[c] = best_v[c].min(p.assignment_cost(f, c));
+                for (b, &a) in best_v.iter_mut().zip(rows.row(f)) {
+                    *b = b.min(a);
                 }
                 cur = s;
             }
@@ -141,10 +264,11 @@ pub fn solve_greedy(p: &FacilityProblem) -> FacilitySolution {
         }
     }
     open.sort_unstable();
-    FacilitySolution {
+    let sol = FacilitySolution {
         cost: cur.total(),
         open,
-    }
+    };
+    (sol, work)
 }
 
 /// Add/drop/swap local search, seeded by `start` (or [`solve_greedy`] when

@@ -17,7 +17,9 @@
 //! * [`solve_branch_and_bound`] — exact, prunes with an admissible lower
 //!   bound; handles considerably larger instances.
 //! * [`solve_greedy`] — classic marginal-gain greedy (logarithmic
-//!   approximation).
+//!   approximation); [`solve_greedy_over`] runs the same greedy over any
+//!   [`GreedyRows`] source, including one that hands out lower-bound rows
+//!   and makes them exact only on demand.
 //! * [`solve_local_search`] — add/drop/swap local search seeded by greedy
 //!   (constant-factor approximation for metric instances).
 //!
@@ -55,5 +57,5 @@ mod problem;
 pub use bb::solve_branch_and_bound;
 pub use enumeration::{solve_enumeration, ENUMERATION_FACILITY_LIMIT};
 pub use error::FacilityError;
-pub use heuristics::{solve_greedy, solve_local_search};
+pub use heuristics::{solve_greedy, solve_greedy_over, solve_local_search, GreedyRows, GreedyWork};
 pub use problem::{FacilityProblem, FacilitySolution};

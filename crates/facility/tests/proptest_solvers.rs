@@ -1,10 +1,188 @@
 //! Property tests pinning the solver hierarchy:
-//! `enumeration == branch-and-bound <= local search <= greedy` (in cost).
+//! `enumeration == branch-and-bound <= local search <= greedy` (in cost),
+//! plus the early-exit greedy's bit-identity to the textbook greedy, over
+//! exact rows and over lower-bound rows made exact on demand.
 
 use proptest::prelude::*;
 use sp_facility::{
-    solve_branch_and_bound, solve_enumeration, solve_greedy, solve_local_search, FacilityProblem,
+    solve_branch_and_bound, solve_enumeration, solve_greedy, solve_greedy_over, solve_local_search,
+    FacilityProblem, FacilitySolution, GreedyRows,
 };
+
+/// The textbook greedy exactly as `solve_greedy` ran before it learned
+/// the early exit: every candidate's full score, every pass. Kept as the
+/// reference the early-exit solver must reproduce bit for bit.
+#[allow(clippy::needless_range_loop)]
+mod textbook {
+    use sp_facility::{FacilityProblem, FacilitySolution};
+
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    struct Score {
+        unserved: usize,
+        finite_cost: f64,
+    }
+
+    impl Score {
+        fn better_than(self, other: Score) -> bool {
+            self.unserved < other.unserved
+                || (self.unserved == other.unserved && self.finite_cost < other.finite_cost)
+        }
+
+        fn total(self) -> f64 {
+            if self.unserved > 0 {
+                f64::INFINITY
+            } else {
+                self.finite_cost
+            }
+        }
+    }
+
+    fn score_from_values<I: Iterator<Item = f64>>(open_cost: f64, values: I) -> Score {
+        let mut unserved = 0usize;
+        let mut finite = open_cost;
+        for v in values {
+            if v.is_finite() {
+                finite += v;
+            } else {
+                unserved += 1;
+            }
+        }
+        Score {
+            unserved,
+            finite_cost: finite,
+        }
+    }
+
+    fn open_cost_sum(p: &FacilityProblem, open: &[usize]) -> f64 {
+        open.iter().map(|&f| p.open_cost(f)).sum()
+    }
+
+    pub fn solve_greedy(p: &FacilityProblem) -> FacilitySolution {
+        let nf = p.facility_count();
+        let nc = p.client_count();
+        if nc == 0 {
+            return FacilitySolution {
+                open: Vec::new(),
+                cost: 0.0,
+            };
+        }
+        let mut open: Vec<usize> = Vec::new();
+        let mut is_open = vec![false; nf];
+        let mut best_v = vec![f64::INFINITY; nc];
+        let mut cur = Score {
+            unserved: nc,
+            finite_cost: 0.0,
+        };
+
+        loop {
+            let mut pick: Option<(usize, Score)> = None;
+            for f in 0..nf {
+                if is_open[f] {
+                    continue;
+                }
+                let oc = open_cost_sum(p, &open) + p.open_cost(f);
+                let cand =
+                    score_from_values(oc, (0..nc).map(|c| best_v[c].min(p.assignment_cost(f, c))));
+                if cand.better_than(cur) && pick.is_none_or(|(_, s)| cand.better_than(s)) {
+                    pick = Some((f, cand));
+                }
+            }
+            match pick {
+                Some((f, s)) => {
+                    is_open[f] = true;
+                    open.push(f);
+                    for c in 0..nc {
+                        best_v[c] = best_v[c].min(p.assignment_cost(f, c));
+                    }
+                    cur = s;
+                }
+                None => break,
+            }
+        }
+        open.sort_unstable();
+        FacilitySolution {
+            cost: cur.total(),
+            open,
+        }
+    }
+}
+
+/// A row source that hands out each row first as a lower bound (the
+/// exact row scaled by a per-facility factor in `[0, 1]`, some entries
+/// zeroed) and serves the exact row only once asked.
+struct BoundedRows<'a> {
+    exact: &'a FacilityProblem,
+    lower: Vec<Vec<f64>>,
+    resolved: Vec<bool>,
+}
+
+impl GreedyRows for BoundedRows<'_> {
+    fn facility_count(&self) -> usize {
+        self.exact.facility_count()
+    }
+
+    fn client_count(&self) -> usize {
+        self.exact.client_count()
+    }
+
+    fn open_cost(&self, f: usize) -> f64 {
+        self.exact.open_cost(f)
+    }
+
+    fn bound(&mut self, f: usize) -> bool {
+        self.resolved[f]
+    }
+
+    fn exact(&mut self, f: usize) {
+        self.resolved[f] = true;
+    }
+
+    fn row(&self, f: usize) -> &[f64] {
+        if self.resolved[f] {
+            self.exact.assignment_row(f)
+        } else {
+            &self.lower[f]
+        }
+    }
+}
+
+fn assert_bitwise_same(
+    got: &FacilitySolution,
+    want: &FacilitySolution,
+) -> Result<(), TestCaseError> {
+    prop_assert_eq!(&got.open, &want.open);
+    prop_assert_eq!(
+        got.cost.to_bits(),
+        want.cost.to_bits(),
+        "{} vs {}",
+        got.cost,
+        want.cost
+    );
+    Ok(())
+}
+
+/// Instances built from a handful of values, so exact ties between
+/// candidate scores (and `+∞` entries) are common, with per-facility
+/// opening costs drawn the same way.
+fn arb_problem_with_ties() -> impl Strategy<Value = FacilityProblem> {
+    let entry = || {
+        prop_oneof![
+            Just(0.0f64),
+            Just(0.5),
+            Just(1.0),
+            Just(2.0),
+            Just(f64::INFINITY),
+            0.0f64..10.0,
+        ]
+    };
+    (1usize..=8, 1usize..=8).prop_flat_map(move |(nf, nc)| {
+        (
+            proptest::collection::vec(prop_oneof![Just(0.0f64), Just(1.0), 0.0f64..4.0], nf..=nf),
+            proptest::collection::vec(proptest::collection::vec(entry(), nc..=nc), nf..=nf),
+        )
+            .prop_map(|(costs, rows)| FacilityProblem::new(costs, rows).unwrap())
+    })
+}
 
 fn arb_problem() -> impl Strategy<Value = FacilityProblem> {
     (1usize..=7, 1usize..=7, 0.0f64..8.0).prop_flat_map(|(nf, nc, open_cost)| {
@@ -94,6 +272,59 @@ proptest! {
         if before.is_finite() {
             prop_assert!(after.cost <= before + 1e-9);
         }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The early-exit greedy opens the same set at a bitwise-equal cost
+    /// as the textbook greedy, ties and unreachable clients included.
+    #[test]
+    fn early_exit_greedy_is_the_textbook_greedy(p in arb_problem_with_ties()) {
+        assert_bitwise_same(&solve_greedy(&p), &textbook::solve_greedy(&p))?;
+    }
+
+    #[test]
+    fn early_exit_greedy_is_the_textbook_greedy_with_gaps(p in arb_problem_with_gaps()) {
+        assert_bitwise_same(&solve_greedy(&p), &textbook::solve_greedy(&p))?;
+    }
+
+    /// Over lower-bound rows made exact on demand, the greedy still
+    /// answers bitwise like the textbook greedy over the exact rows, and
+    /// it only escalates rows whose bound could still win.
+    #[test]
+    fn lower_bound_rows_give_the_exact_greedy(
+        (p, scales, zeroed) in arb_problem_with_ties().prop_flat_map(|p| {
+            let (nf, nc) = (p.facility_count(), p.client_count());
+            (
+                Just(p),
+                proptest::collection::vec(prop_oneof![Just(0.0f64), Just(1.0), 0.0f64..1.0], nf..=nf),
+                proptest::collection::vec(0u8..5, nf * nc..=nf * nc),
+            )
+        }),
+    ) {
+        let nc = p.client_count();
+        let lower: Vec<Vec<f64>> = (0..p.facility_count())
+            .map(|f| {
+                p.assignment_row(f)
+                    .iter()
+                    .enumerate()
+                    .map(|(c, &a)| if zeroed[f * nc + c] == 0 { 0.0 } else { a * scales[f] })
+                    .collect()
+            })
+            .collect();
+        let mut rows = BoundedRows {
+            exact: &p,
+            lower,
+            resolved: vec![false; p.facility_count()],
+        };
+        let (got, work) = solve_greedy_over(&mut rows);
+        assert_bitwise_same(&got, &textbook::solve_greedy(&p))?;
+        for &f in &got.open {
+            prop_assert!(rows.resolved[f], "opened facility {} was never made exact", f);
+        }
+        prop_assert_eq!(work.escalations, rows.resolved.iter().filter(|&&r| r).count());
     }
 }
 

@@ -43,7 +43,7 @@ use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 
 use sp_json::frame::{self, FrameBuffer};
-use sp_net::{Interest, Poller, WakeHandle};
+use sp_net::{Event, Interest, Poller, WakeHandle};
 use sp_obs::{Phase, SpanHandle};
 
 use crate::obs::ServeObs;
@@ -186,29 +186,82 @@ struct Reactor {
 }
 
 impl Reactor {
+    /// Sets up the poller, the wakeup eventfd and the listener; hands
+    /// the listener back (restored to blocking mode) on failure.
+    fn new(
+        listener: TcpListener,
+        registry: Arc<SessionRegistry>,
+    ) -> Result<Reactor, (io::Error, TcpListener)> {
+        let give_back = |e: io::Error, listener: TcpListener| {
+            let _ = listener.set_nonblocking(false);
+            Err((e, listener))
+        };
+        let poller = match Poller::new() {
+            Ok(p) => p,
+            Err(e) => return give_back(e, listener),
+        };
+        let wake = match WakeHandle::new() {
+            Ok(w) => w,
+            Err(e) => return give_back(e, listener),
+        };
+        if let Err(e) = listener.set_nonblocking(true) {
+            return give_back(e, listener);
+        }
+        if let Err(e) = poller.register(listener.as_raw_fd(), LISTENER_TOKEN, Interest::READABLE) {
+            return give_back(e, listener);
+        }
+        let notifier = Arc::new(Notifier {
+            dirty: Mutex::new(Vec::new()),
+            wake,
+        });
+        if let Err(e) = poller.register(notifier.wake.raw_fd(), WAKE_TOKEN, Interest::READABLE) {
+            return give_back(e, listener);
+        }
+        let obs = registry.obs().cloned();
+        Ok(Reactor {
+            poller,
+            listener,
+            registry,
+            obs,
+            notifier,
+            stop: Arc::new(AtomicBool::new(false)),
+            conns: HashMap::new(),
+            next_token: FIRST_CONN_TOKEN,
+        })
+    }
+
     fn run(&mut self) {
         let mut events = Vec::new();
-        loop {
-            if self.poller.wait(&mut events, None).is_err() {
-                break;
-            }
-            if self.stop.load(Ordering::Acquire) {
-                break;
-            }
-            for ev in &events {
-                match ev.token {
-                    LISTENER_TOKEN => self.accept_ready(),
-                    WAKE_TOKEN => self.drain_wake(),
-                    token => self.pump(token),
-                }
-            }
-        }
+        while self.poller.wait(&mut events, None).is_ok()
+            && !self.stop.load(Ordering::Acquire)
+            && self.handle_events(&events)
+        {}
         // Mark every surviving connection closed so late worker
         // completions become silent drops instead of growing orphaned
         // maps.
         for (_, conn) in self.conns.drain() {
             conn.shared.closed.store(true, Ordering::Release);
         }
+    }
+
+    /// Handles one batch of readiness events; returns `false` once the
+    /// loop must stop.
+    ///
+    /// The loop checks `stop` before the batch, and this re-checks it
+    /// after. Shutdown sets `stop` and then wakes the loop through the
+    /// same eventfd the workers' completion wakes use, so a stop that
+    /// lands while the loop is handling a completion wake has its wake
+    /// drained in the same pass. Nothing is then left to make the next
+    /// blocking `epoll_wait` return; only the re-check sees the stop.
+    fn handle_events(&mut self, events: &[Event]) -> bool {
+        for ev in events {
+            match ev.token {
+                LISTENER_TOKEN => self.accept_ready(),
+                WAKE_TOKEN => self.drain_wake(),
+                token => self.pump(token),
+            }
+        }
+        !self.stop.load(Ordering::Acquire)
     }
 
     fn accept_ready(&mut self) {
@@ -539,43 +592,9 @@ pub fn spawn(
     listener: TcpListener,
     registry: Arc<SessionRegistry>,
 ) -> Result<ReactorHandle, (io::Error, TcpListener)> {
-    let give_back = |e: io::Error, listener: TcpListener| {
-        let _ = listener.set_nonblocking(false);
-        Err((e, listener))
-    };
-    let poller = match Poller::new() {
-        Ok(p) => p,
-        Err(e) => return give_back(e, listener),
-    };
-    let wake = match WakeHandle::new() {
-        Ok(w) => w,
-        Err(e) => return give_back(e, listener),
-    };
-    if let Err(e) = listener.set_nonblocking(true) {
-        return give_back(e, listener);
-    }
-    if let Err(e) = poller.register(listener.as_raw_fd(), LISTENER_TOKEN, Interest::READABLE) {
-        return give_back(e, listener);
-    }
-    let notifier = Arc::new(Notifier {
-        dirty: Mutex::new(Vec::new()),
-        wake,
-    });
-    if let Err(e) = poller.register(notifier.wake.raw_fd(), WAKE_TOKEN, Interest::READABLE) {
-        return give_back(e, listener);
-    }
-    let stop = Arc::new(AtomicBool::new(false));
-    let obs = registry.obs().cloned();
-    let mut reactor = Reactor {
-        poller,
-        listener,
-        registry,
-        obs,
-        notifier: Arc::clone(&notifier),
-        stop: Arc::clone(&stop),
-        conns: HashMap::new(),
-        next_token: FIRST_CONN_TOKEN,
-    };
+    let mut reactor = Reactor::new(listener, registry)?;
+    let stop = Arc::clone(&reactor.stop);
+    let notifier = Arc::clone(&reactor.notifier);
     let handle = std::thread::Builder::new()
         .name("sp-serve-reactor".to_owned())
         .spawn(move || reactor.run())
@@ -596,7 +615,9 @@ mod tests {
 
     use sp_json::{frame, json, Value};
 
+    use super::*;
     use crate::config::ServeConfig;
+    use crate::registry::RegistryConfig;
     use crate::server::{IoModel, Server};
     use crate::wire::{binary, Codec, Request, SessionOp};
 
@@ -624,6 +645,46 @@ mod tests {
         let mut out = Vec::new();
         frame::append_frame_bytes(&mut out, v.to_string_compact().as_bytes()).unwrap();
         out
+    }
+
+    /// Shutdown must not hang when its wake is drained together with a
+    /// worker's completion wake. The interleaving is replayed step by
+    /// step on one thread: a completion wake wakes the loop, the loop
+    /// finds `stop` unset, shutdown then lands (stop + wake, exactly as
+    /// `ReactorHandle::halt` does it), and the loop's drain swallows both
+    /// wakes. Without the re-check after the batch, the loop would go
+    /// back to a blocking `epoll_wait` with nothing left to wake it.
+    #[test]
+    fn stop_wake_drained_with_a_completion_wake_still_stops() {
+        let dir = test_dir("lost-wake");
+        let registry = SessionRegistry::new(RegistryConfig {
+            spill_dir: dir.clone(),
+            ..RegistryConfig::default()
+        })
+        .unwrap();
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let Ok(mut reactor) = Reactor::new(listener, registry) else {
+            panic!("linux test host must have epoll");
+        };
+        // A worker completes a response for a connection (here one the
+        // loop no longer knows, so pumping it is a no-op) and wakes the
+        // loop.
+        reactor.notifier.notify(FIRST_CONN_TOKEN);
+        let mut events = Vec::new();
+        reactor.poller.wait(&mut events, Some(0)).unwrap();
+        assert!(events.iter().any(|e| e.token == WAKE_TOKEN), "{events:?}");
+        assert!(!reactor.stop.load(Ordering::Acquire));
+        // Shutdown lands after the loop's stop check, before its drain.
+        reactor.stop.store(true, Ordering::Release);
+        reactor.notifier.wake.wake().unwrap();
+        assert!(
+            !reactor.handle_events(&events),
+            "the loop must see the stop once the batch is handled"
+        );
+        // The drain took the stop wake too: a blocking wait would hang.
+        reactor.poller.wait(&mut events, Some(0)).unwrap();
+        assert!(events.is_empty(), "the stop wake was drained: {events:?}");
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -1584,6 +1584,34 @@ mod tests {
     }
 
     #[test]
+    fn non_metric_matrix_create_is_a_typed_bad_spec() {
+        let dir = test_dir("non-metric");
+        let registry = SessionRegistry::new(RegistryConfig {
+            spill_dir: dir.clone(),
+            ..RegistryConfig::default()
+        })
+        .unwrap();
+        let workers = registry.spawn_workers(1);
+        // d(0, 2) = 10 > d(0, 1) + d(1, 2) = 2.
+        let r = submit_and_wait(
+            &registry,
+            json!({
+                "op": "create", "session": "m", "alpha": 1.0,
+                "matrix": [[0.0, 1.0, 10.0], [1.0, 0.0, 1.0], [10.0, 1.0, 0.0]],
+            }),
+        );
+        assert_eq!(r["ok"], false, "{r}");
+        assert_eq!(r["code"].as_str(), Some("bad_spec"), "{r}");
+        let r = submit_and_wait(&registry, json!({ "op": "social_cost", "session": "m" }));
+        assert_eq!(r["code"].as_str(), Some("unknown_session"), "{r}");
+        registry.shutdown();
+        for w in workers {
+            w.join().unwrap();
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
     fn budget_forces_lru_eviction() {
         let dir = test_dir("budget");
         let registry = SessionRegistry::new(RegistryConfig {

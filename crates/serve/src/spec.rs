@@ -8,6 +8,13 @@
 //! symmetry, metric axioms, link bounds. Failures carry
 //! [`ErrorCode::BadSpec`] with the historical messages.
 //!
+//! An explicit `matrix` is outside input, so it is also checked against
+//! the triangle inequality ([`Game::check_triangle_inequality`], `O(n³)`,
+//! within `sp_core::METRIC_TRIANGLE_TOLERANCE`): the engine's cached
+//! best-response oracles use metric distances as lower bounds on path
+//! lengths, which only holds for a metric. Line and point geometries are
+//! metric by construction and skip the check.
+//!
 //! Dense mode stores line geometries as a precomputed matrix (the
 //! historical, bit-identically accounted representation); sparse mode
 //! keeps the positions themselves so the game's metric store stays
@@ -29,9 +36,9 @@ fn bad(message: String) -> WireError {
 /// # Errors
 ///
 /// Returns a [`ErrorCode::BadSpec`] error when the geometry is
-/// semantically invalid (non-square or asymmetric matrix, bad metric,
-/// out-of-bounds links) or when sparse mode is asked for without a line
-/// geometry.
+/// semantically invalid (non-square or asymmetric matrix, a matrix that
+/// breaks the triangle inequality, bad metric, out-of-bounds links) or
+/// when sparse mode is asked for without a line geometry.
 pub fn build(spec: &GameSpec) -> Result<(Game, StrategyProfile), WireError> {
     if spec.mode == BackendMode::Sparse && !matches!(spec.geometry, Geometry::Line(_)) {
         return Err(bad(
@@ -67,7 +74,10 @@ pub fn build(spec: &GameSpec) -> Result<(Game, StrategyProfile), WireError> {
                 flat.extend_from_slice(row);
             }
             let m = DistanceMatrix::from_row_major(n, flat).map_err(|e| bad(e.to_string()))?;
-            Game::new(m, spec.alpha).map_err(|e| bad(e.to_string()))?
+            let game = Game::new(m, spec.alpha).map_err(|e| bad(e.to_string()))?;
+            game.check_triangle_inequality()
+                .map_err(|e| bad(e.to_string()))?;
+            game
         }
     };
 
@@ -161,5 +171,37 @@ mod tests {
         })
         .unwrap_err();
         assert_eq!(e.code, ErrorCode::BadSpec);
+    }
+
+    #[test]
+    fn rejects_a_non_metric_matrix() {
+        // d(0, 2) = 10 > d(0, 1) + d(1, 2) = 2: symmetric, positive,
+        // zero diagonal — everything `Game::new` checks — but no metric.
+        let e = build(&GameSpec {
+            alpha: 1.0,
+            geometry: Geometry::Matrix(vec![
+                vec![0.0, 1.0, 10.0],
+                vec![1.0, 0.0, 1.0],
+                vec![10.0, 1.0, 0.0],
+            ]),
+            links: Vec::new(),
+            mode: BackendMode::Dense,
+        })
+        .unwrap_err();
+        assert_eq!(e.code, ErrorCode::BadSpec);
+        assert!(e.message.contains("triangle"), "{e}");
+
+        // Tight triangles (a collinear matrix) are metric and accepted.
+        build(&GameSpec {
+            alpha: 1.0,
+            geometry: Geometry::Matrix(vec![
+                vec![0.0, 1.0, 2.0],
+                vec![1.0, 0.0, 1.0],
+                vec![2.0, 1.0, 0.0],
+            ]),
+            links: Vec::new(),
+            mode: BackendMode::Dense,
+        })
+        .unwrap();
     }
 }
