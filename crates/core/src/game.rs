@@ -259,18 +259,26 @@ impl Game {
         };
         let n = dist.len();
         let slack = 1.0 + METRIC_TRIANGLE_TOLERANCE;
+        // sp-lint: allow(float-eps, reason = "the relative slack is the tolerance; this is the validation that defines it")
+        let violates = |d_ij: f64, d_jk: f64, d_ik: f64| (d_ij + d_jk) * slack < d_ik;
         for i in 0..n {
-            for j in 0..n {
-                let d_ij = dist[(i, j)];
-                for k in 0..n {
-                    // sp-lint: allow(float-eps, reason = "the relative slack is the tolerance; this is the validation that defines it")
-                    if (d_ij + dist[(j, k)]) * slack < dist[(i, k)] {
-                        return Err(CoreError::Metric(MetricError::TriangleViolation {
-                            i,
-                            j,
-                            k,
-                        }));
-                    }
+            let row_i = dist.row(i);
+            for (j, &d_ij) in row_i.iter().enumerate() {
+                let row_j = dist.row(j);
+                // Branch-free scan first (it vectorises); locate the first
+                // violating `k` only on the rare failing pair.
+                let any = row_j.iter().zip(row_i).fold(false, |acc, (&d_jk, &d_ik)| {
+                    acc | violates(d_ij, d_jk, d_ik)
+                });
+                if any {
+                    let k = (0..n)
+                        .find(|&k| violates(d_ij, row_j[k], row_i[k]))
+                        .expect("a violating k exists");
+                    return Err(CoreError::Metric(MetricError::TriangleViolation {
+                        i,
+                        j,
+                        k,
+                    }));
                 }
             }
         }

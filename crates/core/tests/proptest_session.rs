@@ -362,9 +362,17 @@ proptest! {
         (game, profile, script) in arb_session_script()
     ) {
         let mut s = GameSession::from_refs(&game, &profile).unwrap();
+        let n = game.n();
+        let rows_resolved =
+            |s: &GameSession| s.stats().seq_oracle_hits + s.stats().seq_oracle_swept;
         let check = |s: &mut GameSession, peer: PeerId| -> Result<(), TestCaseError> {
             let fresh = s.best_response_uncached(peer, BestResponseMethod::Exact).unwrap();
+            // Accounting: every candidate row of an eager (Exact) build
+            // is either served from a cache tier or swept, exactly once.
+            let before = rows_resolved(s);
             let cached = s.best_response(peer, BestResponseMethod::Exact).unwrap();
+            prop_assert_eq!(rows_resolved(s) - before, n - 1,
+                "eager oracle row accounting must balance for peer {:?}", peer);
             prop_assert_eq!(&fresh.links, &cached.links,
                 "links diverged for peer {:?}", peer);
             prop_assert_eq!(fresh.cost.to_bits(), cached.cost.to_bits(),
@@ -372,7 +380,13 @@ proptest! {
                 peer, fresh.cost, cached.cost);
             prop_assert_eq!(fresh.current_cost.to_bits(), cached.current_cost.to_bits());
             let fresh_mv = s.first_improving_move_uncached(peer, 1e-9).unwrap();
+            // The lazy better-response scan resolves each candidate row at
+            // most once and leaves rows its bounds settled unresolved.
+            let before = rows_resolved(s);
             let cached_mv = s.first_improving_move(peer, 1e-9).unwrap();
+            let lazy_rows = rows_resolved(s) - before;
+            prop_assert!(lazy_rows < n,
+                "lazy scan resolved {} rows for peer {:?}, more than n - 1", lazy_rows, peer);
             match (&fresh_mv, &cached_mv) {
                 (None, None) => {}
                 (Some(a), Some(b)) => {
@@ -400,18 +414,5 @@ proptest! {
         for i in 0..game.n() {
             check(&mut s, PeerId::new(i))?;
         }
-        // Accounting: every candidate row of every eager (Exact) build
-        // was either served from a cache tier or swept; the lazy
-        // better-response scan resolves each row at most once, and
-        // leaves rows its bounds settled unresolved.
-        let stats = s.stats();
-        let n = game.n();
-        let builds_per_kind = 2 * script.len() + n;
-        let rows = stats.seq_oracle_hits + stats.seq_oracle_swept;
-        prop_assert!(
-            rows >= builds_per_kind * (n - 1) && rows <= 2 * builds_per_kind * (n - 1),
-            "sequential oracle row accounting must balance: {} rows",
-            rows
-        );
     }
 }

@@ -31,6 +31,10 @@
 //! }
 //! ```
 //!
+//! The matrix must be a metric: restore runs
+//! [`Game::check_triangle_inequality`], as `create` does on a matrix
+//! spec, and rejects a violation.
+//!
 //! Sparse sessions ([`sp_core::GameSession::new_sparse`]) use the v2
 //! format: no matrix, no row tiers — the landmark sketch is cheap to
 //! rebuild and is deliberately outside the bit-identity contract, so
@@ -211,7 +215,12 @@ fn parse_matrix_game(v: &Value, alpha: f64) -> Result<Game, String> {
         }
     }
     let matrix = DistanceMatrix::from_row_major(n, flat).map_err(|e| e.to_string())?;
-    Game::new(matrix, alpha).map_err(|e| e.to_string())
+    let game = Game::new(matrix, alpha).map_err(|e| e.to_string())?;
+    // The cached oracles read metric rows as certified lower bounds, so a
+    // restored matrix must be a metric, as `create` requires of a spec.
+    game.check_triangle_inequality()
+        .map_err(|e| format!("snapshot matrix is not a metric: {e}"))?;
+    Ok(game)
 }
 
 fn parse_profile(v: &Value, n: usize) -> Result<StrategyProfile, String> {
@@ -462,6 +471,29 @@ mod tests {
         let mut back = load(&path).unwrap();
         assert_eq!(back.profile(), s.profile());
         assert_eq!(back.snapshot().overlay_rows, s.snapshot().overlay_rows);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn load_rejects_a_non_metric_matrix() {
+        // A spill file whose matrix breaks d(0, 2) <= d(0, 1) + d(1, 2):
+        // the cached oracles would read its rows as unsound lower bounds,
+        // so restore refuses it, as WAL replay refuses the same `create`.
+        let dir = std::env::temp_dir().join(format!("sp-serve-nonmetric-{}", std::process::id()));
+        fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("snap.json");
+        let text = r#"{"format": "sp-serve/session-snapshot/v1", "alpha": 1.0,
+            "matrix": [[0, 1, 5], [1, 0, 1], [5, 1, 0]],
+            "profile": [[1], [2], [0]], "overlay_rows": [], "residual_rows": []}"#;
+        fs::write(&path, text).unwrap();
+        let Err(err) = load(&path) else {
+            panic!("a non-metric matrix must not restore");
+        };
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("not a metric"), "{err}");
+        // The same file with a metric matrix restores.
+        fs::write(&path, text.replace('5', "2")).unwrap();
+        assert!(load(&path).is_ok());
         let _ = fs::remove_dir_all(&dir);
     }
 
