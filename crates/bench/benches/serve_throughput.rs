@@ -15,8 +15,8 @@
 //!   semantic byte accounting ([`sp_core::GameSession::memory_bytes`]),
 //!   the counters are identical on every machine: requests served,
 //!   sessions evicted (budget pressure + scripted `evict` ops),
-//!   sessions restored, and the queue-depth high-water mark of a
-//!   scripted burst. The pass also re-verifies the service contract:
+//!   sessions restored, snapshot bytes written by their spills, and
+//!   the queue-depth high-water mark of a scripted burst. The pass also re-verifies the service contract:
 //!   every response must be bit-identical to the single-threaded
 //!   no-eviction reference executor.
 //!
@@ -148,12 +148,14 @@ fn bench_serve_throughput(c: &mut Criterion) {
         "the counter workload must cycle sessions through the spill path: {stats:?}"
     );
     println!(
-        "counter workload: {} requests, {} sessions created, {} evicted, {} restored, \
-         {} resident at end ({} bytes) — all responses bit-identical to the reference",
+        "counter workload: {} requests, {} sessions created, {} evicted, {} restored \
+         ({} snapshot bytes written), {} resident at end ({} bytes) — all responses \
+         bit-identical to the reference",
         stats.requests_served,
         stats.sessions_created,
         stats.sessions_evicted,
         stats.sessions_restored,
+        stats.snapshot_bytes_written,
         stats.resident_sessions,
         stats.resident_bytes,
     );
@@ -171,6 +173,11 @@ fn bench_serve_throughput(c: &mut Criterion) {
         "serve_counters/sessions_restored",
         stats.sessions_restored as f64,
         "sessions",
+    );
+    c.report_value(
+        "snapshot/bytes_written",
+        stats.snapshot_bytes_written as f64,
+        "bytes",
     );
 
     // ---- WAL counter pass: durability accounting + recovery replay -----
@@ -499,6 +506,7 @@ fn bench_serve_throughput(c: &mut Criterion) {
         let slow_logged = get("obs.slow_logged");
         let sessions_evicted = get("obs.sessions_evicted");
         let sessions_restored = get("obs.sessions_restored");
+        let snapshot_bytes_written = get("obs.snapshot_bytes_written");
         assert_eq!(
             spans_completed, COUNTER_CFG.requests as u64,
             "every replayed request must complete exactly one span"
@@ -515,6 +523,7 @@ fn bench_serve_throughput(c: &mut Criterion) {
         assert_eq!(fsync_batches, obs_stats.wal_fsyncs);
         assert_eq!(sessions_evicted, obs_stats.sessions_evicted);
         assert_eq!(sessions_restored, obs_stats.sessions_restored);
+        assert_eq!(snapshot_bytes_written, obs_stats.snapshot_bytes_written);
         println!(
             "obs workload: {spans_completed} spans, {queue_wait_events} queue waits, \
              {wal_append_events} WAL appends over {fsync_batches} commit batches, \

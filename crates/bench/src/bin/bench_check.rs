@@ -171,7 +171,8 @@ fn more_is_worse(unit: &str) -> Option<bool> {
         // not drift at all.
         // `bytes` is peak session memory at the gated instance size —
         // the large-n counter proving the sparse path never grew a
-        // matrix — so more is worse like the work counters.
+        // matrix — or bytes written (wire traffic, snapshot spills),
+        // so more is worse like the work counters.
         // `wakeups` counts syscall-equivalent scheduler wakeups in the
         // serve I/O model: more wakeups means the reactor's batching
         // regressed toward one-wakeup-per-request.

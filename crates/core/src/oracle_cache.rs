@@ -172,43 +172,6 @@ impl OracleCache {
         self.row_valid[u]
     }
 
-    /// Every valid overlay row as `(source, distances)`, in source order —
-    /// the overlay tier of a session snapshot.
-    pub(crate) fn valid_rows(&self) -> impl Iterator<Item = (usize, &[f64])> + '_ {
-        self.row_valid
-            .iter()
-            .enumerate()
-            .filter(|&(_, &v)| v)
-            .map(|(u, _)| (u, self.dist.row(u)))
-    }
-
-    /// Every retained residual row as `(excluded, source, distances)`,
-    /// sorted by key so snapshots are deterministic.
-    pub(crate) fn residual_rows_sorted(&self) -> Vec<(usize, usize, &[f64])> {
-        // sp-lint: allow(nondeterministic-iteration, reason = "order-insensitive: the collected rows are sorted by key immediately below")
-        let mut rows: Vec<(usize, usize, &[f64])> = self
-            .residual
-            .iter()
-            .map(|(&(i, v), row)| (i, v, row.as_slice()))
-            .collect();
-        rows.sort_unstable_by_key(|&(i, v, _)| (i, v));
-        rows
-    }
-
-    /// Installs overlay row `u` verbatim and marks it valid (snapshot
-    /// restore; the caller has validated the length).
-    pub(crate) fn restore_row(&mut self, u: usize, row: &[f64]) {
-        self.dist.row_mut(u).copy_from_slice(row);
-        self.row_valid[u] = true;
-    }
-
-    /// Installs a residual row verbatim (snapshot restore). Unlike
-    /// [`OracleCache::store_residual`] this bypasses the cap check: the
-    /// source session respected the cap, so a faithful restore fits.
-    pub(crate) fn restore_residual(&mut self, excluded: usize, source: usize, row: Vec<f64>) {
-        self.residual.insert((excluded, source), row);
-    }
-
     /// Semantic size of the cached state in bytes: the overlay matrix and
     /// validity bits plus every retained residual row (with its key).
     /// Counts what the data is, not what the allocator holds, so the

@@ -310,28 +310,30 @@ impl SessionStats {
     }
 }
 
-/// A faithful, game-independent capture of a [`GameSession`]'s mutable
-/// state: the profile plus both warm cache tiers, exactly as they stand.
+/// The state that fixes a [`GameSession`]'s configuration besides its
+/// (immutable) [`Game`]: the profile, plus the backend tuning of a
+/// sparse session.
 ///
 /// [`GameSession::restore`] rebuilds a session from a snapshot and the
-/// (immutable) [`Game`] such that every subsequent query answers
-/// **bit-identically** to the source session — the contract that lets a
-/// service spill sessions to disk under memory pressure and page them
-/// back in without observable effect. Row vectors are stored in
-/// deterministic order (overlay rows by source, residual rows by
-/// `(excluded, source)`), so equal sessions produce equal snapshots.
-///
-/// The snapshot deliberately omits derived state (the overlay CSR and the
-/// stretch matrix are recomputed lazily from the profile and the distance
-/// rows without any shortest-path sweeps) and the work counters.
+/// game such that every subsequent query answers **bit-identically** to
+/// the source session — the contract that lets a service spill sessions
+/// to disk under memory pressure and page them back in without
+/// observable effect. Everything derived (overlay distance rows,
+/// retained `G_{-i}` rows, the CSR, the stretch matrix, a sparse
+/// sketch) is left out: the restored session starts cold and re-warms
+/// lazily, and cached answers equal fresh ones bit for bit
+/// (property-tested in `proptest_session.rs` and
+/// `proptest_lazy_oracle.rs`). A sparse session's landmark sketch is
+/// rebuilt the same way; its heuristic answers stay outside the
+/// bit-identity contract, as they always have. Work counters are left
+/// out too.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SessionSnapshot {
     /// The strategy profile at capture time.
     pub profile: StrategyProfile,
-    /// Valid overlay distance rows as `(source, distances)`, ascending.
-    pub overlay_rows: Vec<(usize, Vec<f64>)>,
-    /// Retained residual rows as `(excluded, source, distances)`, sorted.
-    pub residual_rows: Vec<(usize, usize, Vec<f64>)>,
+    /// The sparse backend's tuning parameters; `None` for a dense
+    /// session.
+    pub sparse: Option<SparseParams>,
 }
 
 /// A stateful evaluation handle: a [`Game`], the current
@@ -572,10 +574,9 @@ impl GameSession {
     /// oracle tier. The default budget (64 MiB) assumes this session is
     /// the process's main tenant; a multi-session host like the
     /// `sp-serve` registry calls this with a per-tenant slice so one
-    /// oracle-heavy session cannot monopolise the host's memory — and so
-    /// its spill snapshots stay proportionate. Affects only how many
-    /// rows are *retained* (work), never the value any tier serves
-    /// (bit-identity is cap-independent).
+    /// oracle-heavy session cannot monopolise the host's memory. Affects
+    /// only how many rows are *retained* (work), never the value any
+    /// tier serves (bit-identity is cap-independent).
     pub fn set_residual_budget(&mut self, bytes: usize) {
         if !self.backend.is_sparse() {
             self.backend.dense_mut().set_budget(bytes);
@@ -606,112 +607,35 @@ impl GameSession {
         profile + csr + stretch + self.backend.memory_bytes()
     }
 
-    /// Captures the session's mutable state — profile plus both warm
-    /// cache tiers — for spill-to-disk persistence. See
+    /// Captures the session's persistent state — the profile and the
+    /// backend mode with its tuning — for spill-to-disk persistence. See
     /// [`SessionSnapshot`] for the fidelity contract.
     #[must_use]
     pub fn snapshot(&mut self) -> SessionSnapshot {
         self.stats.snapshot_exports += 1;
-        if self.backend.is_sparse() {
-            // Sparse sessions carry no spillable row tiers: the sketch is
-            // cheap to rebuild (2·L sweeps) and is never part of the
-            // bit-identity contract, so the snapshot is just the profile.
-            return SessionSnapshot {
-                profile: self.profile.clone(),
-                overlay_rows: Vec::new(),
-                residual_rows: Vec::new(),
-            };
-        }
         SessionSnapshot {
             profile: self.profile.clone(),
-            overlay_rows: self
-                .backend
-                .dense()
-                .valid_rows()
-                .map(|(u, row)| (u, row.to_vec()))
-                .collect(),
-            residual_rows: self
-                .backend
-                .dense()
-                .residual_rows_sorted()
-                .into_iter()
-                .map(|(i, v, row)| (i, v, row.to_vec()))
-                .collect(),
+            sparse: self.sparse_params(),
         }
     }
 
     /// Rebuilds a session from `game` and a snapshot captured by
-    /// [`GameSession::snapshot`]: the profile and both cache tiers are
-    /// installed verbatim, so every query on the restored session
-    /// answers bit-identically to the source session (property-tested in
-    /// `crates/serve/tests/proptest_snapshot.rs`). Work counters start
+    /// [`GameSession::snapshot`], on the backend the snapshot names
+    /// ([`GameSession::new`] or [`GameSession::new_sparse_with`]). Every
+    /// cache starts cold, and every query on the restored session
+    /// answers bit-identically to the source session (property-tested
+    /// in `crates/serve/tests/proptest_snapshot.rs`). Work counters start
     /// fresh except [`SessionStats::snapshot_restores`], which is `1`.
     ///
     /// # Errors
     ///
-    /// * [`CoreError::ProfileSizeMismatch`] when the profile disagrees
-    ///   with the game on the peer count;
-    /// * [`CoreError::InvalidSnapshot`] for malformed rows (wrong
-    ///   length, out-of-range or duplicate indices, self-residuals).
+    /// [`CoreError::ProfileSizeMismatch`] when the profile disagrees
+    /// with the game on the peer count.
     pub fn restore(game: Game, snapshot: SessionSnapshot) -> Result<Self, CoreError> {
-        let mut session = GameSession::new(game, snapshot.profile)?;
-        let n = session.game.n();
-        let bad = |reason: String| CoreError::InvalidSnapshot { reason };
-        let mut last_u: Option<usize> = None;
-        for (u, row) in &snapshot.overlay_rows {
-            if *u >= n {
-                return Err(bad(format!(
-                    "overlay row source {u} out of range for n={n}"
-                )));
-            }
-            if last_u.is_some_and(|p| p >= *u) {
-                return Err(bad("overlay rows not strictly ascending".to_owned()));
-            }
-            last_u = Some(*u);
-            if row.len() != n {
-                return Err(bad(format!(
-                    "overlay row {u} has {} entries, expected {n}",
-                    row.len()
-                )));
-            }
-            session.backend.dense_mut().restore_row(*u, row);
-        }
-        let mut last_key: Option<(usize, usize)> = None;
-        for (i, v, row) in snapshot.residual_rows {
-            if i >= n || v >= n || i == v {
-                return Err(bad(format!(
-                    "residual row key ({i}, {v}) invalid for n={n}"
-                )));
-            }
-            if last_key.is_some_and(|p| p >= (i, v)) {
-                return Err(bad("residual rows not strictly ascending".to_owned()));
-            }
-            last_key = Some((i, v));
-            if row.len() != n {
-                return Err(bad(format!(
-                    "residual row ({i}, {v}) has {} entries, expected {n}",
-                    row.len()
-                )));
-            }
-            session.backend.dense_mut().restore_residual(i, v, row);
-        }
-        session.stats.snapshot_restores = 1;
-        Ok(session)
-    }
-
-    /// Rebuilds a **sparse** session from a profile-only snapshot (what
-    /// [`GameSession::snapshot`] produces for sparse sessions). Work
-    /// counters start fresh except [`SessionStats::snapshot_restores`].
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`GameSession::new_sparse_with`].
-    pub fn restore_sparse(
-        game: Game,
-        profile: StrategyProfile,
-        params: SparseParams,
-    ) -> Result<Self, CoreError> {
-        let mut session = GameSession::new_sparse_with(game, profile, params)?;
+        let mut session = match snapshot.sparse {
+            None => GameSession::new(game, snapshot.profile)?,
+            Some(params) => GameSession::new_sparse_with(game, snapshot.profile, params)?,
+        };
         session.stats.snapshot_restores = 1;
         Ok(session)
     }
@@ -2213,48 +2137,79 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_restore_roundtrips_profile_and_tiers() {
+    fn snapshot_restore_roundtrips_profile() {
         let g = detour_game();
         let p = StrategyProfile::from_links(4, &[(0, 1), (1, 2), (2, 3), (3, 0)]).unwrap();
         let mut s = GameSession::from_refs(&g, &p).unwrap();
         let _ = s.social_cost();
         let _ = s.best_response(PeerId::new(1), BestResponseMethod::Exact);
         let snap = s.snapshot();
-        assert_eq!(
-            snap.overlay_rows.len(),
-            4,
-            "all rows valid after a cost query"
-        );
+        assert_eq!(snap.profile, p);
+        assert_eq!(snap.sparse, None);
+        assert_eq!(s.stats().snapshot_exports, 1);
         let mut restored = GameSession::restore(g.clone(), snap.clone()).unwrap();
         assert_eq!(restored.profile(), s.profile());
-        assert_eq!(restored.snapshot(), snap);
         assert_eq!(restored.stats().snapshot_restores, 1);
-        assert_eq!(
-            restored.social_cost().total().to_bits(),
-            s.social_cost().total().to_bits()
+        assert!(
+            restored.memory_bytes() < s.memory_bytes(),
+            "a restored session starts cold"
         );
 
-        // Malformed snapshots are rejected, not installed.
-        let mut bad = snap.clone();
-        bad.overlay_rows[0].1.pop();
-        assert!(matches!(
-            GameSession::restore(g.clone(), bad),
-            Err(CoreError::InvalidSnapshot { .. })
-        ));
-        let mut bad = snap.clone();
-        bad.residual_rows.push((2, 2, vec![0.0; 4]));
-        assert!(matches!(
-            GameSession::restore(g.clone(), bad),
-            Err(CoreError::InvalidSnapshot { .. })
-        ));
-        let mut dup = snap;
-        if dup.overlay_rows.len() >= 2 {
-            dup.overlay_rows[1].0 = dup.overlay_rows[0].0;
-            assert!(matches!(
-                GameSession::restore(g, dup),
-                Err(CoreError::InvalidSnapshot { .. })
-            ));
+        // Cold and warm answer bit-identically, now and after more moves.
+        let moves = [
+            Move::AddLink {
+                from: PeerId::new(0),
+                to: PeerId::new(2),
+            },
+            Move::RemoveLink {
+                from: PeerId::new(2),
+                to: PeerId::new(3),
+            },
+        ];
+        for mv in std::iter::once(None).chain(moves.into_iter().map(Some)) {
+            if let Some(mv) = mv {
+                s.apply(mv.clone()).unwrap();
+                restored.apply(mv).unwrap();
+            }
+            assert_eq!(
+                restored.social_cost().total().to_bits(),
+                s.social_cost().total().to_bits()
+            );
+            assert_eq!(restored.max_stretch().to_bits(), s.max_stretch().to_bits());
+            for i in 0..4 {
+                let peer = PeerId::new(i);
+                for m in [BestResponseMethod::Greedy, BestResponseMethod::LocalSearch] {
+                    let (a, b) = (
+                        s.best_response(peer, m).unwrap(),
+                        restored.best_response(peer, m).unwrap(),
+                    );
+                    assert_eq!(a.links, b.links);
+                    assert_eq!(a.cost.to_bits(), b.cost.to_bits());
+                }
+                let (a, b) = (
+                    s.first_improving_move(peer, 1e-9).unwrap(),
+                    restored.first_improving_move(peer, 1e-9).unwrap(),
+                );
+                assert_eq!(a.map(|r| r.links), b.map(|r| r.links));
+            }
+            assert_eq!(
+                restored
+                    .nash_gap(BestResponseMethod::Greedy)
+                    .unwrap()
+                    .to_bits(),
+                s.nash_gap(BestResponseMethod::Greedy).unwrap().to_bits()
+            );
         }
+
+        // A profile of the wrong size is rejected, not installed.
+        let bad = SessionSnapshot {
+            profile: StrategyProfile::empty(3),
+            sparse: None,
+        };
+        assert!(matches!(
+            GameSession::restore(g, bad),
+            Err(CoreError::ProfileSizeMismatch { .. })
+        ));
     }
 
     #[test]

@@ -109,8 +109,6 @@ impl Config {
                 "write_frame",
                 "read_frame",
                 "TcpStream::",
-                "session_to_value",
-                "session_from_value",
             ]),
             dense_alloc_paths: s(&[
                 "crates/core/src/",

@@ -9,7 +9,8 @@
 //!   named sessions with **LRU eviction under a global memory budget**
 //!   (semantic byte accounting via [`sp_core::GameSession::memory_bytes`],
 //!   so eviction decisions are deterministic and machine-independent).
-//!   Evicted sessions spill to sp-json snapshot files and are restored
+//!   Evicted sessions spill to CRC-framed binary snapshot files (game
+//!   plus profile; caches re-warm lazily) and are restored
 //!   transparently on their next request, bit-identically
 //!   ([`snapshot`], property-tested in `tests/proptest_snapshot.rs`).
 //! * A **worker-pool scheduler** inside the registry: requests to one

@@ -92,6 +92,8 @@ pub struct ObsMetricSet {
     pub sessions_evicted: Arc<Counter>,
     /// Sessions restored from spill files.
     pub sessions_restored: Arc<Counter>,
+    /// Bytes of snapshot files written by spills.
+    pub snapshot_bytes_written: Arc<Counter>,
 }
 
 impl ObsMetricSet {
@@ -106,6 +108,7 @@ impl ObsMetricSet {
             slow_logged: metrics.counter("obs.slow_logged"),
             sessions_evicted: metrics.counter("obs.sessions_evicted"),
             sessions_restored: metrics.counter("obs.sessions_restored"),
+            snapshot_bytes_written: metrics.counter("obs.snapshot_bytes_written"),
         }
     }
 }

@@ -30,8 +30,7 @@ use crate::wire::{
 /// Per-session budget for the retained-residual oracle tier under the
 /// service. The core default (64 MiB) assumes one hot session per
 /// process; a registry multiplexing hundreds must hand each tenant a
-/// slice, both to keep the global budget meaningful and to keep spill
-/// snapshots (which persist the residual tier) proportionate.
+/// slice to keep the global budget meaningful.
 pub const SERVICE_RESIDUAL_BUDGET: usize = 512 << 10;
 
 /// Applies the service-wide session tuning: single-threaded refills

@@ -236,6 +236,10 @@ pub struct RegistryStats {
     pub wal_fsyncs: u64,
     /// WAL records replayed by startup recovery.
     pub wal_replays: u64,
+    /// Bytes of snapshot files written by spills (explicit `snapshot` /
+    /// `evict` and budget evictions; clean sessions that skip the
+    /// rewrite add nothing).
+    pub snapshot_bytes_written: u64,
 }
 
 impl RegistryStats {
@@ -288,6 +292,7 @@ pub struct SessionRegistry {
     wal_batches: AtomicU64,
     wal_fsyncs: AtomicU64,
     wal_replays: AtomicU64,
+    snapshot_bytes_written: AtomicU64,
     /// The observability state; `None` when [`RegistryConfig::obs`] is
     /// disabled, which keeps every instrumentation site free.
     obs: Option<Arc<ServeObs>>,
@@ -341,6 +346,7 @@ impl SessionRegistry {
             wal_batches: AtomicU64::new(0),
             wal_fsyncs: AtomicU64::new(0),
             wal_replays: AtomicU64::new(0),
+            snapshot_bytes_written: AtomicU64::new(0),
             obs,
         });
         if registry.config.durability.is_wal() {
@@ -542,6 +548,7 @@ impl SessionRegistry {
             wal_batches: self.wal_batches.load(Ordering::Relaxed),
             wal_fsyncs: self.wal_fsyncs.load(Ordering::Relaxed),
             wal_replays: self.wal_replays.load(Ordering::Relaxed),
+            snapshot_bytes_written: self.snapshot_bytes_written.load(Ordering::Relaxed),
         }
     }
 
@@ -822,7 +829,8 @@ impl SessionRegistry {
         let path = self.spill_path(name);
         let Some(wal) = wal else {
             if dirty || !path.exists() {
-                snapshot::save(&path, session)?;
+                let bytes = snapshot::save_counted(&path, session, 0, false)?;
+                self.count_snapshot_bytes(bytes);
             }
             return Ok(());
         };
@@ -832,12 +840,13 @@ impl SessionRegistry {
         }
         if dirty || !path.exists() {
             // sp-lint: allow(lock-hygiene, reason = "deliberate hold-across-save: the commit -> snapshot -> compact sequence must be atomic against concurrent appends or the mark could cover records it never flushed")
-            snapshot::save_with_mark(
+            let bytes = snapshot::save_counted(
                 &path,
                 session,
                 w.head().records,
                 self.config.durability.fsync(),
             )?;
+            self.count_snapshot_bytes(bytes);
         }
         // A clean session skips the save: its records since the
         // snapshot are all non-mutating (anything else would have set
@@ -845,6 +854,14 @@ impl SessionRegistry {
         // equals the state at the new base. Compaction is still
         // correct, and keeps evict-heavy workloads from growing logs.
         w.compact_to_mark()
+    }
+
+    fn count_snapshot_bytes(&self, bytes: usize) {
+        self.snapshot_bytes_written
+            .fetch_add(bytes as u64, Ordering::Relaxed);
+        if let Some(obs) = &self.obs {
+            obs.set().snapshot_bytes_written.add(bytes as u64);
+        }
     }
 
     /// Executes one job with the session checked out of its entry. The
@@ -1067,9 +1084,8 @@ impl SessionRegistry {
         // `snapshot`/`evict` on an already-spilled session are no-ops:
         // a session is only non-resident after a successful spill (with
         // `dirty` cleared), so its file is already current — restoring
-        // a multi-megabyte snapshot just to persist and re-drop it
-        // would be pure waste and would inflate the gated
-        // evict/restore counters.
+        // a snapshot just to persist and re-drop it would be pure waste
+        // and would inflate the gated evict/restore counters.
         if resident.is_none()
             && created
             && matches!(request.op, SessionOp::Snapshot | SessionOp::Evict)

@@ -25,14 +25,14 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
-use sp_json::{frame, Value};
+use sp_json::frame;
 use sp_obs::{Phase, SpanHandle};
 
 use crate::config::ServeConfig;
 use crate::registry::SessionRegistry;
 use crate::wire::{
-    json, ConnProtocol, ErrorCode, FrameAction, Request, Response, ResultBody, WireError,
-    PROTO_BINARY, PROTO_JSON,
+    ConnProtocol, ErrorCode, FrameAction, Request, Response, ResultBody, WireError, PROTO_BINARY,
+    PROTO_JSON,
 };
 
 /// Which connection I/O engine a [`Server`] runs.
@@ -191,9 +191,8 @@ fn start_threaded(listener: TcpListener, registry: &Arc<SessionRegistry>) -> io:
 }
 
 /// Computes the response for one typed request — the single routing
-/// point shared by both I/O models and the legacy [`respond`] entry.
-/// Session requests block on the scheduler; everything else answers
-/// inline.
+/// point shared by both I/O models. Session requests block on the
+/// scheduler; everything else answers inline.
 #[must_use]
 pub fn respond_request(registry: &SessionRegistry, request: Request) -> Response {
     respond_request_traced(registry, request, None)
@@ -265,18 +264,6 @@ pub(crate) fn respond_request_traced(
         obs.stamp(span, Phase::Execute);
     }
     response
-}
-
-/// The protocol-1 convenience router: decodes a JSON request value,
-/// routes it, and encodes the JSON response value. Kept for tests and
-/// tools that hold `Value`s; the connection handlers speak
-/// [`respond_request`] through a [`ConnProtocol`].
-#[must_use]
-pub fn respond(registry: &SessionRegistry, request: &Value) -> Value {
-    match json::decode_request(request) {
-        Ok(req) => json::encode_response(&respond_request(registry, req)),
-        Err(e) => json::encode_response(&Response::err(e.id, e.error)),
-    }
 }
 
 fn handle_connection(stream: TcpStream, registry: &SessionRegistry) {

@@ -1,332 +1,287 @@
-//! Session snapshot persistence: [`sp_core::GameSession`] ⇄ sp-json ⇄
-//! file.
+//! Session snapshot persistence: [`sp_core::GameSession`] ⇄ file.
 //!
-//! A snapshot file is self-contained — it carries the game (latency
-//! matrix plus `α`), the profile, and both warm cache tiers — so it
-//! serves two roles:
+//! A snapshot file holds exactly the state that fixes a session's
+//! configuration — `α`, the backend mode, the game's own metric store,
+//! the profile, and a sparse session's [`SparseParams`] — plus the WAL
+//! compaction mark. It serves two roles:
 //!
 //! * **eviction spill**: the registry writes the file, drops the
 //!   in-memory session, and the next request restores it transparently;
 //! * **cold start**: a fresh server process (or the explicit `load` op)
 //!   can resurrect a session nothing in memory remembers.
 //!
-//! The fidelity contract is *bit-identity*: every query on the restored
-//! session answers with exactly the bits the source session would have
-//! produced. Finite floats survive the text round trip because the
-//! printer emits shortest-round-trip renderings; infinite overlay
-//! distances (disconnected overlays are legal states) go through
-//! [`sp_json::encode_f64`]. Row order in the file is deterministic, so
-//! equal sessions produce byte-identical files.
+//! Nothing derived is stored: overlay distance rows, retained `G_{-i}`
+//! rows, the CSR and a sparse sketch are recomputed. A restored session
+//! starts cold ([`GameSession::restore`]) and re-warms lazily through
+//! the session's own cache tiers. The fidelity contract is still
+//! *bit-identity* — every query on the restored session answers with
+//! exactly the bits the source session would have produced — because
+//! cached answers equal fresh ones bit for bit (property-tested in
+//! `sp-core`, and end to end in `tests/proptest_snapshot.rs`).
 //!
-//! Dense format (`"format": "sp-serve/session-snapshot/v1"`):
+//! # Layout
 //!
-//! ```json
-//! {
-//!   "format": "sp-serve/session-snapshot/v1",
-//!   "alpha": 2.0,
-//!   "matrix": [[0.0, 1.5], [1.5, 0.0]],
-//!   "profile": [[1], []],
-//!   "overlay_rows": [[0, [0.0, 1.5]]],
-//!   "residual_rows": [[0, 1, [ "inf", 0.0 ]]]
-//! }
+//! Binary, in the [`sp_wire::binary`] grammar the WAL already speaks
+//! (LEB128 varints, little-endian IEEE-754 floats), framed by a magic
+//! and the WAL's CRC-32:
+//!
+//! ```text
+//! file    := "SPSNAP01"  body  crc32:u32le    (CRC-32/IEEE over magic + body)
+//! body    := mode:u8  alpha:f64  metric  profile  [params]  mark:varint
+//! mode    := 0 dense | 1 sparse                (params present iff sparse)
+//! metric  := 0 n:varint  f64 × n²              (dense matrix, row-major)
+//!          | 1 n:varint  f64 × n               (line positions)
+//! profile := (k:varint  target:varint × k) × n (out-links per peer, ascending)
+//! params  := landmarks:varint  ball_cap:varint  window:varint
+//!            unreach_penalty:f64
 //! ```
 //!
-//! The matrix must be a metric: restore runs
+//! A dense 112-peer session spills ~100 KB, almost all of it the
+//! matrix. Equal sessions write byte-identical files. A restored dense
+//! matrix must be a metric: restore runs
 //! [`Game::check_triangle_inequality`], as `create` does on a matrix
-//! spec, and rejects a violation.
+//! spec, and rejects a violation. A torn, truncated, extended or
+//! bit-flipped file fails its CRC or the bounds-checked decode and
+//! surfaces as [`io::ErrorKind::InvalidData`], never as a panic or a
+//! different session.
 //!
-//! Sparse sessions ([`sp_core::GameSession::new_sparse`]) use the v2
-//! format: no matrix, no row tiers — the landmark sketch is cheap to
-//! rebuild and is deliberately outside the bit-identity contract, so
-//! the file carries only what reconstruction needs (geometry, profile,
-//! tuning parameters). A 10⁵-peer sparse session spills kilobytes of
-//! positions where a dense matrix would spill gigabytes:
+//! # Legacy JSON files
 //!
-//! ```json
-//! {
-//!   "format": "sp-serve/session-snapshot/v2-sparse",
-//!   "alpha": 2.0,
-//!   "positions_1d": [0.0, 1.5, 4.0],
-//!   "profile": [[1], [], []],
-//!   "params": { "landmarks": 8, "ball_cap": 64, "window": 16,
-//!               "unreach_penalty": 1000000.0 }
-//! }
-//! ```
+//! Earlier releases wrote JSON snapshots under the same file names, and
+//! a spill directory is the WAL's durable base, so those still load,
+//! read-only. The loader dispatches on the first byte: `{` is JSON.
+//! `"sp-serve/session-snapshot/v1"` (dense) restores its `matrix` and
+//! `profile`, with the triangle check, and ignores its cached rows;
+//! `"sp-serve/session-snapshot/v2-sparse"` restores its geometry,
+//! profile and `params`. A legacy file is only replaced when its
+//! session is next spilled dirty: a restored session that is evicted
+//! again without a mutation keeps the JSON file it came from.
 
 use std::fs;
 use std::io::{self, Write};
 use std::path::Path;
 
-use sp_core::{BackendMode, Game, GameSession, SessionSnapshot, SparseParams, StrategyProfile};
+use sp_core::{Game, GameSession, SessionSnapshot, SparseParams, StrategyProfile};
 use sp_graph::DistanceMatrix;
-use sp_json::{decode_f64, encode_f64, Value};
+use sp_json::Value;
 
-/// The format tag of dense-session snapshot files.
-pub const FORMAT: &str = "sp-serve/session-snapshot/v1";
+use crate::wal::crc32;
+use crate::wire::binary::{Reader, Writer};
+use crate::wire::WireError;
 
-/// The format tag of sparse-session snapshot files.
-pub const FORMAT_V2_SPARSE: &str = "sp-serve/session-snapshot/v2-sparse";
+/// Magic leading every binary snapshot file (format version 01).
+pub const MAGIC: &[u8; 8] = b"SPSNAP01";
 
-fn profile_value(profile: &StrategyProfile) -> Value {
-    Value::Array(
-        profile
-            .iter()
-            .map(|(_, links)| Value::Array(links.iter().map(|t| Value::from(t.index())).collect()))
-            .collect(),
-    )
-}
+const MODE_DENSE: u8 = 0;
+const MODE_SPARSE: u8 = 1;
+const METRIC_MATRIX: u8 = 0;
+const METRIC_LINE: u8 = 1;
 
-/// Serialises a session to a value: game + profile + warm cache tiers
-/// for dense sessions (v1), geometry + profile + tuning parameters for
-/// sparse ones (v2).
+/// Encodes a session as snapshot file bytes carrying WAL mark `mark`
+/// (0 outside WAL deployments). Counts one export on the session.
 #[must_use]
-pub fn session_to_value(session: &mut GameSession) -> Value {
-    if session.backend_mode() == BackendMode::Sparse {
-        return sparse_session_to_value(session);
-    }
-    let game = session.game_arc();
-    let n = game.n();
-    let matrix: Value = Value::Array(
-        (0..n)
-            .map(|i| Value::Array((0..n).map(|j| Value::Number(game.distance(i, j))).collect()))
-            .collect(),
-    );
-    let snap = session.snapshot();
-    let profile = profile_value(&snap.profile);
-    let row_value = |row: &[f64]| Value::Array(row.iter().map(|&x| encode_f64(x)).collect());
-    let overlay: Value = Value::Array(
-        snap.overlay_rows
-            .iter()
-            .map(|(u, row)| Value::Array(vec![Value::from(*u), row_value(row)]))
-            .collect(),
-    );
-    let residual: Value = Value::Array(
-        snap.residual_rows
-            .iter()
-            .map(|(i, v, row)| Value::Array(vec![Value::from(*i), Value::from(*v), row_value(row)]))
-            .collect(),
-    );
-    Value::Object(vec![
-        ("format".to_owned(), Value::from(FORMAT)),
-        ("alpha".to_owned(), Value::Number(game.alpha())),
-        ("matrix".to_owned(), matrix),
-        ("profile".to_owned(), profile),
-        ("overlay_rows".to_owned(), overlay),
-        ("residual_rows".to_owned(), residual),
-    ])
-}
-
-/// The v2 body: geometry, profile, and [`SparseParams`] — everything a
-/// [`GameSession::restore_sparse`] needs, nothing quadratic. Sparse
-/// sessions built over a dense matrix store (possible through the core
-/// API, not through the service spec) fall back to persisting the
-/// matrix so the file stays self-contained.
-fn sparse_session_to_value(session: &mut GameSession) -> Value {
-    let game = session.game_arc();
-    let profile = profile_value(&session.snapshot().profile);
-    let params = session.sparse_params().unwrap_or_default();
-    let geometry = match game.line_positions() {
-        Some(pos) => (
-            "positions_1d".to_owned(),
-            Value::Array(pos.iter().map(|&x| Value::Number(x)).collect()),
-        ),
-        None => {
-            let n = game.n();
-            (
-                "matrix".to_owned(),
-                Value::Array(
-                    (0..n)
-                        .map(|i| {
-                            Value::Array(
-                                (0..n).map(|j| Value::Number(game.distance(i, j))).collect(),
-                            )
-                        })
-                        .collect(),
-                ),
-            )
+pub fn encode(session: &mut GameSession, mark: u64) -> Vec<u8> {
+    let SessionSnapshot { profile, sparse } = session.snapshot();
+    let game = session.game();
+    let mut w = Writer::new();
+    w.bytes(MAGIC);
+    w.u8(if sparse.is_some() {
+        MODE_SPARSE
+    } else {
+        MODE_DENSE
+    });
+    w.f64(game.alpha());
+    if let Some(positions) = game.line_positions() {
+        w.u8(METRIC_LINE);
+        w.usize(positions.len());
+        positions.iter().for_each(|&x| w.f64(x));
+    } else {
+        let n = game.n();
+        w.u8(METRIC_MATRIX);
+        w.usize(n);
+        for i in 0..n {
+            (0..n).for_each(|j| w.f64(game.distance(i, j)));
         }
-    };
-    Value::Object(vec![
-        ("format".to_owned(), Value::from(FORMAT_V2_SPARSE)),
-        ("alpha".to_owned(), Value::Number(game.alpha())),
-        geometry,
-        ("profile".to_owned(), profile),
-        (
-            "params".to_owned(),
-            Value::Object(vec![
-                ("landmarks".to_owned(), Value::from(params.landmarks)),
-                ("ball_cap".to_owned(), Value::from(params.ball_cap)),
-                ("window".to_owned(), Value::from(params.window)),
-                (
-                    "unreach_penalty".to_owned(),
-                    encode_f64(params.unreach_penalty),
-                ),
-            ]),
-        ),
-    ])
+    }
+    for (_, links) in profile.iter() {
+        w.usize(links.len());
+        links.iter().for_each(|t| w.usize(t.index()));
+    }
+    if let Some(p) = sparse {
+        w.usize(p.landmarks);
+        w.usize(p.ball_cap);
+        w.usize(p.window);
+        w.f64(p.unreach_penalty);
+    }
+    w.varint(mark);
+    let mut bytes = w.into_vec();
+    let crc = crc32(&bytes);
+    bytes.extend_from_slice(&crc.to_le_bytes());
+    bytes
 }
 
-fn decode_row(v: &Value, what: &str) -> Result<Vec<f64>, String> {
-    v.as_array()
-        .ok_or_else(|| format!("{what} must be an array"))?
-        .iter()
-        .map(|x| decode_f64(x).ok_or_else(|| format!("{what} holds a non-distance entry")))
-        .collect()
-}
-
-/// Rebuilds a session from a value produced by [`session_to_value`],
-/// dispatching on the format tag (v1 dense, v2 sparse).
+/// Rebuilds a session and its WAL mark from snapshot file bytes: the
+/// binary format, or a legacy JSON file (first byte `{`).
 ///
 /// # Errors
 ///
-/// Returns a human-readable message on a missing/mismatched format tag,
-/// malformed fields, or a snapshot [`sp_core::GameSession::restore`]
-/// rejects as inconsistent.
-pub fn session_from_value(v: &Value) -> Result<GameSession, String> {
-    match v.get("format").and_then(Value::as_str) {
-        Some(f) if f == FORMAT => dense_session_from_value(v),
-        Some(f) if f == FORMAT_V2_SPARSE => sparse_session_from_value(v),
-        Some(f) => Err(format!("unsupported snapshot format {f:?}")),
-        None => Err("snapshot is missing its format tag".to_owned()),
+/// A human-readable message on a bad magic or CRC, a malformed or
+/// trailing field, a non-metric dense matrix, or an inconsistent
+/// profile.
+pub fn decode(bytes: &[u8]) -> Result<(GameSession, u64), String> {
+    if bytes.first() == Some(&b'{') {
+        return decode_legacy(bytes);
     }
+    let (data, crc) = bytes
+        .split_last_chunk::<4>()
+        .ok_or("snapshot is shorter than its checksum")?;
+    if !data.starts_with(MAGIC) {
+        return Err("not a session snapshot (magic mismatch)".to_owned());
+    }
+    if u32::from_le_bytes(*crc) != crc32(data) {
+        return Err("snapshot checksum mismatch".to_owned());
+    }
+    let mut r = Reader::new(data);
+    let wire = |e: WireError| e.message;
+    r.bytes(MAGIC.len()).map_err(wire)?;
+    let mode = r.u8().map_err(wire)?;
+    let alpha = r.f64().map_err(wire)?;
+    let game = match r.u8().map_err(wire)? {
+        METRIC_MATRIX => {
+            let n = r.usize().map_err(wire)?;
+            let cells = n
+                .checked_mul(n)
+                .filter(|&c| c <= r.remaining() / 8)
+                .ok_or("matrix exceeds the snapshot size")?;
+            let flat = (0..cells).map(|_| r.f64()).collect::<Result<Vec<f64>, _>>();
+            metric_game(n, flat.map_err(wire)?, alpha)?
+        }
+        METRIC_LINE => {
+            let n = r.count(8).map_err(wire)?;
+            let positions = (0..n).map(|_| r.f64()).collect::<Result<Vec<f64>, _>>();
+            Game::from_line_positions(positions.map_err(wire)?, alpha).map_err(|e| e.to_string())?
+        }
+        other => return Err(format!("unknown metric tag {other}")),
+    };
+    let n = game.n();
+    let mut links: Vec<(usize, usize)> = Vec::new();
+    for i in 0..n {
+        for _ in 0..r.count(1).map_err(wire)? {
+            links.push((i, r.usize().map_err(wire)?));
+        }
+    }
+    let profile = StrategyProfile::from_links(n, &links).map_err(|e| e.to_string())?;
+    let sparse = match mode {
+        MODE_DENSE => None,
+        MODE_SPARSE => Some(SparseParams {
+            landmarks: r.usize().map_err(wire)?,
+            ball_cap: r.usize().map_err(wire)?,
+            window: r.usize().map_err(wire)?,
+            unreach_penalty: r.f64().map_err(wire)?,
+        }),
+        other => return Err(format!("unknown backend mode tag {other}")),
+    };
+    let mark = r.varint().map_err(wire)?;
+    r.finish().map_err(wire)?;
+    let session = GameSession::restore(game, SessionSnapshot { profile, sparse })
+        .map_err(|e| e.to_string())?;
+    Ok((session, mark))
 }
 
-fn parse_alpha(v: &Value) -> Result<f64, String> {
-    v.get("alpha")
-        .and_then(Value::as_f64)
-        .ok_or_else(|| "snapshot needs a numeric 'alpha'".to_owned())
-}
-
-fn parse_matrix_game(v: &Value, alpha: f64) -> Result<Game, String> {
-    let rows = v
-        .get("matrix")
-        .and_then(Value::as_array)
-        .ok_or("snapshot needs a 'matrix' array")?;
-    let n = rows.len();
-    // sp-lint: allow(dense-alloc, reason = "decoding the explicitly dense v1 matrix wire format; sparse snapshots take the v2 positions path")
-    let mut flat = Vec::with_capacity(n * n);
-    for row in rows {
-        let r = row.as_array().ok_or("matrix rows must be arrays")?;
-        if r.len() != n {
-            return Err("matrix must be square".to_owned());
-        }
-        for x in r {
-            flat.push(x.as_f64().ok_or("matrix entries must be numbers")?);
-        }
-    }
+/// A dense game over a row-major matrix, which must be a metric: the
+/// cached oracles read metric rows as certified lower bounds, so a
+/// restored matrix is checked as `create` checks a matrix spec.
+fn metric_game(n: usize, flat: Vec<f64>, alpha: f64) -> Result<Game, String> {
     let matrix = DistanceMatrix::from_row_major(n, flat).map_err(|e| e.to_string())?;
     let game = Game::new(matrix, alpha).map_err(|e| e.to_string())?;
-    // The cached oracles read metric rows as certified lower bounds, so a
-    // restored matrix must be a metric, as `create` requires of a spec.
     game.check_triangle_inequality()
         .map_err(|e| format!("snapshot matrix is not a metric: {e}"))?;
     Ok(game)
 }
 
-fn parse_profile(v: &Value, n: usize) -> Result<StrategyProfile, String> {
+/// Reads a legacy JSON snapshot: v1 dense (cached rows ignored) or v2
+/// sparse. See the module docs.
+fn decode_legacy(bytes: &[u8]) -> Result<(GameSession, u64), String> {
+    let text = std::str::from_utf8(bytes).map_err(|e| e.to_string())?;
+    let v: Value = text
+        .parse()
+        .map_err(|e: sp_json::JsonError| e.to_string())?;
+    let sparse = match v.get("format").and_then(Value::as_str) {
+        Some("sp-serve/session-snapshot/v1") => false,
+        Some("sp-serve/session-snapshot/v2-sparse") => true,
+        Some(f) => return Err(format!("unsupported snapshot format {f:?}")),
+        None => return Err("snapshot is missing its format tag".to_owned()),
+    };
+    let alpha = v
+        .get("alpha")
+        .and_then(Value::as_f64)
+        .ok_or("snapshot needs a numeric 'alpha'")?;
+    let numbers = |x: &Value, what: &str| -> Result<Vec<f64>, String> {
+        x.as_array()
+            .ok_or(format!("{what} must be an array"))?
+            .iter()
+            .map(|e| e.as_f64().ok_or(format!("{what} entries must be numbers")))
+            .collect()
+    };
+    let game = match v.get("positions_1d").filter(|p| !p.is_null()) {
+        Some(p) if sparse => Game::from_line_positions(numbers(p, "positions_1d")?, alpha)
+            .map_err(|e| e.to_string())?,
+        _ => {
+            let rows = v
+                .get("matrix")
+                .and_then(Value::as_array)
+                .ok_or("snapshot needs a 'matrix' array")?;
+            let n = rows.len();
+            // sp-lint: allow(dense-alloc, reason = "decoding the explicitly dense legacy matrix; sparse legacy files take the positions arm")
+            let mut flat = Vec::with_capacity(n * n);
+            for row in rows {
+                let r = numbers(row, "matrix rows")?;
+                if r.len() != n {
+                    return Err("matrix must be square".to_owned());
+                }
+                flat.extend(r);
+            }
+            metric_game(n, flat, alpha)?
+        }
+    };
+    let n = game.n();
     let strategies = v
         .get("profile")
         .and_then(Value::as_array)
-        .ok_or("snapshot needs a 'profile' array")?;
-    if strategies.len() != n {
-        return Err(format!(
-            "profile has {} strategies for {n} peers",
-            strategies.len()
-        ));
-    }
+        .filter(|s| s.len() == n)
+        .ok_or(format!("snapshot needs a 'profile' of {n} strategies"))?;
     let mut links: Vec<(usize, usize)> = Vec::new();
     for (i, s) in strategies.iter().enumerate() {
         for t in s.as_array().ok_or("profile strategies must be arrays")? {
             links.push((i, t.as_usize().ok_or("profile links must be peer indices")?));
         }
     }
-    StrategyProfile::from_links(n, &links).map_err(|e| e.to_string())
-}
-
-fn dense_session_from_value(v: &Value) -> Result<GameSession, String> {
-    let alpha = parse_alpha(v)?;
-    let game = parse_matrix_game(v, alpha)?;
-    let n = game.n();
-    let profile = parse_profile(v, n)?;
-
-    let mut overlay_rows: Vec<(usize, Vec<f64>)> = Vec::new();
-    for entry in v
-        .get("overlay_rows")
-        .and_then(Value::as_array)
-        .ok_or("snapshot needs an 'overlay_rows' array")?
-    {
-        let [src, row] = entry
-            .as_array()
-            .ok_or("overlay_rows entries must be [source, row] pairs")?
-        else {
-            return Err("overlay_rows entries must be [source, row] pairs".to_owned());
+    let profile = StrategyProfile::from_links(n, &links).map_err(|e| e.to_string())?;
+    let sparse = if sparse {
+        let pv = v.get("params").ok_or("sparse snapshot needs 'params'")?;
+        let field = |key: &str| {
+            pv.get(key)
+                .and_then(Value::as_usize)
+                .ok_or(format!("params needs a non-negative integer {key:?}"))
         };
-        let u = src
-            .as_usize()
-            .ok_or("overlay row source must be an index")?;
-        overlay_rows.push((u, decode_row(row, "overlay row")?));
-    }
-    let mut residual_rows: Vec<(usize, usize, Vec<f64>)> = Vec::new();
-    for entry in v
-        .get("residual_rows")
-        .and_then(Value::as_array)
-        .ok_or("snapshot needs a 'residual_rows' array")?
-    {
-        let [excluded, src, row] = entry
-            .as_array()
-            .ok_or("residual_rows entries must be [excluded, source, row] triples")?
-        else {
-            return Err("residual_rows entries must be [excluded, source, row] triples".to_owned());
-        };
-        let i = excluded
-            .as_usize()
-            .ok_or("residual excluded peer must be an index")?;
-        let s = src.as_usize().ok_or("residual source must be an index")?;
-        residual_rows.push((i, s, decode_row(row, "residual row")?));
-    }
-
-    GameSession::restore(
-        game,
-        SessionSnapshot {
-            profile,
-            overlay_rows,
-            residual_rows,
-        },
-    )
-    .map_err(|e| e.to_string())
-}
-
-fn sparse_session_from_value(v: &Value) -> Result<GameSession, String> {
-    let alpha = parse_alpha(v)?;
-    let game = match v.get("positions_1d").filter(|p| !p.is_null()) {
-        Some(p) => {
-            let positions = p
-                .as_array()
-                .ok_or("positions_1d must be an array")?
-                .iter()
-                .map(|x| x.as_f64().ok_or("positions_1d entries must be numbers"))
-                .collect::<Result<Vec<f64>, _>>()?;
-            Game::from_line_positions(positions, alpha).map_err(|e| e.to_string())?
-        }
-        None => parse_matrix_game(v, alpha)?,
+        Some(SparseParams {
+            landmarks: field("landmarks")?,
+            ball_cap: field("ball_cap")?,
+            window: field("window")?,
+            unreach_penalty: pv
+                .get("unreach_penalty")
+                .and_then(sp_json::decode_f64)
+                .ok_or("params needs a numeric 'unreach_penalty'")?,
+        })
+    } else {
+        None
     };
-    let profile = parse_profile(v, game.n())?;
-    let pv = v.get("params").ok_or("sparse snapshot needs 'params'")?;
-    let field = |key: &str| {
-        pv.get(key)
-            .and_then(Value::as_usize)
-            .ok_or_else(|| format!("params needs a non-negative integer {key:?}"))
-    };
-    let params = SparseParams {
-        landmarks: field("landmarks")?,
-        ball_cap: field("ball_cap")?,
-        window: field("window")?,
-        unreach_penalty: pv
-            .get("unreach_penalty")
-            .and_then(decode_f64)
-            .ok_or("params needs a numeric 'unreach_penalty'")?,
-    };
-    GameSession::restore_sparse(game, profile, params).map_err(|e| e.to_string())
+    // Marks are WAL record counts; far below 2^53, so the JSON number
+    // round-trips exactly.
+    let mark = v.get("wal_mark").and_then(Value::as_usize).unwrap_or(0) as u64;
+    let session = GameSession::restore(game, SessionSnapshot { profile, sparse })
+        .map_err(|e| e.to_string())?;
+    Ok((session, mark))
 }
 
 /// Writes a session snapshot to `path` atomically (temp file + rename),
@@ -346,8 +301,7 @@ pub fn save(path: &Path, session: &mut GameSession) -> io::Result<()> {
 /// replays only WAL records *after* the mark, which is what makes the
 /// crash window between "snapshot written" and "WAL truncated" safe —
 /// records at or below the mark are already inside the snapshot, and
-/// the mark says so. A zero mark is omitted from the file (byte-for-
-/// byte the historical format, which non-WAL deployments still write).
+/// the mark says so.
 ///
 /// Under `fsync` the snapshot is made *durable*, not just atomic: the
 /// temp file is synced before the rename and the directory entry after
@@ -367,16 +321,25 @@ pub fn save_with_mark(
     mark: u64,
     fsync: bool,
 ) -> io::Result<()> {
-    let mut value = session_to_value(session);
-    if mark > 0 {
-        if let Value::Object(fields) = &mut value {
-            fields.push(("wal_mark".to_owned(), Value::Number(mark as f64)));
-        }
-    }
+    save_counted(path, session, mark, fsync).map(drop)
+}
+
+/// [`save_with_mark`], returning the number of bytes the file holds.
+///
+/// # Errors
+///
+/// Propagates filesystem errors.
+pub(crate) fn save_counted(
+    path: &Path,
+    session: &mut GameSession,
+    mark: u64,
+    fsync: bool,
+) -> io::Result<usize> {
+    let bytes = encode(session, mark);
     let tmp = path.with_extension("json.tmp");
     {
         let mut f = fs::File::create(&tmp)?;
-        f.write_all(value.to_string_compact().as_bytes())?;
+        f.write_all(&bytes)?;
         if fsync {
             f.sync_data()?;
         }
@@ -385,7 +348,7 @@ pub fn save_with_mark(
     if fsync {
         crate::wal::sync_parent_dir(path)?;
     }
-    Ok(())
+    Ok(bytes.len())
 }
 
 /// Reads a session snapshot from `path`.
@@ -406,22 +369,13 @@ pub fn load(path: &Path) -> io::Result<GameSession> {
 /// Propagates filesystem errors; malformed content surfaces as
 /// [`io::ErrorKind::InvalidData`].
 pub fn load_with_mark(path: &Path) -> io::Result<(GameSession, u64)> {
-    let text = fs::read_to_string(path)?;
-    let value: Value = text
-        .parse()
-        .map_err(|e: sp_json::JsonError| io::Error::new(io::ErrorKind::InvalidData, e))?;
-    // Marks are WAL record counts; far below 2^53, so the JSON number
-    // round-trips exactly.
-    let mark = value.get("wal_mark").and_then(Value::as_usize).unwrap_or(0) as u64;
-    let session =
-        session_from_value(&value).map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
-    Ok((session, mark))
+    decode(&fs::read(path)?).map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sp_core::{BestResponseMethod, Move, PeerId};
+    use sp_core::{BackendMode, BestResponseMethod, Move, PeerId};
     use sp_metric::LineSpace;
 
     fn warmed_session() -> GameSession {
@@ -445,20 +399,21 @@ mod tests {
     #[test]
     fn value_roundtrip_is_bit_identical() {
         let mut s = warmed_session();
-        let snap_before = s.snapshot();
-        let v = session_to_value(&mut s);
-        // Through the full text pipeline, as the spill path does.
-        let text = v.to_string_compact();
-        let mut restored = session_from_value(&text.parse().unwrap()).unwrap();
-        assert_eq!(restored.snapshot(), snap_before);
-        assert_eq!(restored.profile(), s.profile());
+        let bytes = encode(&mut s, 7);
+        assert_eq!(s.stats().snapshot_exports, 1);
+        // Matrix plus a few bytes of header, profile and checksum.
+        assert!(bytes.len() < 25 * 8 + 40, "{} bytes", bytes.len());
+        let (mut restored, mark) = decode(&bytes).unwrap();
+        assert_eq!(mark, 7);
+        assert_eq!(restored.snapshot(), s.snapshot());
         assert_eq!(restored.game(), s.game());
-        // And queries agree bitwise.
         assert_eq!(
             restored.social_cost().total().to_bits(),
             s.social_cost().total().to_bits()
         );
         assert_eq!(restored.stats().snapshot_restores, 1);
+        // Equal sessions encode to equal bytes.
+        assert_eq!(encode(&mut restored, 7), bytes);
     }
 
     #[test]
@@ -467,33 +422,54 @@ mod tests {
         fs::create_dir_all(&dir).unwrap();
         let path = dir.join("snap.json");
         let mut s = warmed_session();
-        save(&path, &mut s).unwrap();
-        let mut back = load(&path).unwrap();
+        save_with_mark(&path, &mut s, 3, false).unwrap();
+        let (back, mark) = load_with_mark(&path).unwrap();
         assert_eq!(back.profile(), s.profile());
-        assert_eq!(back.snapshot().overlay_rows, s.snapshot().overlay_rows);
+        assert_eq!(mark, 3);
+        assert_eq!(
+            save_counted(&path, &mut s, 3, false).unwrap() as u64,
+            fs::metadata(&path).unwrap().len()
+        );
         let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn load_rejects_a_non_metric_matrix() {
-        // A spill file whose matrix breaks d(0, 2) <= d(0, 1) + d(1, 2):
+        // Spill files whose matrix breaks d(0, 2) <= d(0, 1) + d(1, 2):
         // the cached oracles would read its rows as unsound lower bounds,
-        // so restore refuses it, as WAL replay refuses the same `create`.
+        // so restore refuses them, as WAL replay refuses the same `create`.
         let dir = std::env::temp_dir().join(format!("sp-serve-nonmetric-{}", std::process::id()));
         fs::create_dir_all(&dir).unwrap();
         let path = dir.join("snap.json");
         let text = r#"{"format": "sp-serve/session-snapshot/v1", "alpha": 1.0,
             "matrix": [[0, 1, 5], [1, 0, 1], [5, 1, 0]],
             "profile": [[1], [2], [0]], "overlay_rows": [], "residual_rows": []}"#;
-        fs::write(&path, text).unwrap();
-        let Err(err) = load(&path) else {
-            panic!("a non-metric matrix must not restore");
-        };
-        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
-        assert!(err.to_string().contains("not a metric"), "{err}");
-        // The same file with a metric matrix restores.
-        fs::write(&path, text.replace('5', "2")).unwrap();
-        assert!(load(&path).is_ok());
+        let metric = text.replace('5', "2");
+        // The binary form of the same file, built from the metric one.
+        fs::write(&path, &metric).unwrap();
+        let mut s = load(&path).unwrap();
+        let mut binary = encode(&mut s, 0);
+        let at = binary
+            .windows(8)
+            .position(|w| w == 2.0f64.to_le_bytes())
+            .unwrap();
+        binary[at..at + 8].copy_from_slice(&5.0f64.to_le_bytes());
+        let at = binary
+            .windows(8)
+            .rposition(|w| w == 2.0f64.to_le_bytes())
+            .unwrap();
+        binary[at..at + 8].copy_from_slice(&5.0f64.to_le_bytes());
+        let end = binary.len() - 4;
+        let crc = crc32(&binary[..end]);
+        binary[end..].copy_from_slice(&crc.to_le_bytes());
+        for bad in [text.as_bytes().to_vec(), binary] {
+            fs::write(&path, bad).unwrap();
+            let Err(err) = load(&path) else {
+                panic!("a non-metric matrix must not restore");
+            };
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+            assert!(err.to_string().contains("not a metric"), "{err}");
+        }
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -512,18 +488,13 @@ mod tests {
             to: PeerId::new(2),
         })
         .unwrap();
-        let v = session_to_value(&mut s);
-        assert_eq!(
-            v.get("format").and_then(Value::as_str),
-            Some(FORMAT_V2_SPARSE)
-        );
+        let bytes = encode(&mut s, 0);
         assert!(
-            v.get("matrix").is_none(),
+            bytes.len() < 40 * 8 + 100,
             "sparse snapshots must not carry a quadratic matrix"
         );
-        let text = v.to_string_compact();
-        let mut back = session_from_value(&text.parse().unwrap()).unwrap();
-        assert_eq!(back.backend_mode(), sp_core::BackendMode::Sparse);
+        let (mut back, _) = decode(&bytes).unwrap();
+        assert_eq!(back.backend_mode(), BackendMode::Sparse);
         assert_eq!(back.profile(), s.profile());
         assert_eq!(back.sparse_params(), s.sparse_params());
         assert_eq!(back.game(), s.game());
@@ -536,23 +507,22 @@ mod tests {
 
     #[test]
     fn rejects_foreign_and_malformed_values() {
-        assert!(session_from_value(&sp_json::json!({ "format": "nope" })).is_err());
-        assert!(session_from_value(&sp_json::json!({ "alpha": 1.0 })).is_err());
+        assert!(decode(br#"{ "format": "nope" }"#).is_err());
+        assert!(decode(br#"{ "alpha": 1.0 }"#).is_err());
+        assert!(decode(b"").is_err());
+        assert!(decode(b"SPSNAP02").is_err());
         let mut s = warmed_session();
-        let good = session_to_value(&mut s);
-        // Corrupt one overlay row length.
+        let good = encode(&mut s, 0);
+        // A flipped bit fails the checksum; so does a dropped byte.
         let mut bad = good.clone();
-        if let Value::Object(fields) = &mut bad {
-            for (k, v) in fields.iter_mut() {
-                if k == "overlay_rows" {
-                    if let Value::Array(rows) = v {
-                        if let Some(Value::Array(pair)) = rows.first_mut() {
-                            pair[1] = Value::Array(vec![Value::Number(1.0)]);
-                        }
-                    }
-                }
-            }
-        }
-        assert!(session_from_value(&bad).is_err());
+        bad[20] ^= 1;
+        assert!(decode(&bad).unwrap_err().contains("checksum"));
+        assert!(decode(&good[..good.len() - 1]).is_err());
+        // A valid checksum over a malformed body still fails to decode.
+        let mut bad = good[..good.len() - 4].to_vec();
+        bad.push(0);
+        let crc = crc32(&bad);
+        bad.extend_from_slice(&crc.to_le_bytes());
+        assert!(decode(&bad).unwrap_err().contains("trailing"));
     }
 }
