@@ -333,6 +333,12 @@ pub(crate) struct LazyScan {
     /// Candidate evaluations whose lower bound could still win and so
     /// paid for exact rows.
     pub(crate) exact_evals: usize,
+    /// Greedy facility evaluations that scored a row
+    /// ([`sp_facility::GreedyWork::scores`]).
+    pub(crate) greedy_scores: usize,
+    /// Greedy facility evaluations skipped on a stale-score bound (also
+    /// counted in `certified_rejects`).
+    pub(crate) stale_skips: usize,
 }
 
 /// The factor that turns a metric distance `d(v, j)` into a certified
@@ -501,10 +507,13 @@ impl<'a> LazyRows<'a> {
             // Valid but dirty: a lower bound on the residual row.
             self.assign(v, self.cache.row(v))
         } else {
-            let metric: Vec<f64> = (0..self.game.n())
-                .map(|j| self.game.distance(v, j) * self.deflation)
-                .collect();
-            self.assign(v, &metric)
+            // `assign` over the deflated metric row, in one pass.
+            let (game, i) = (self.game, self.peer.index());
+            let d_iv = game.distance(i, v);
+            self.candidates
+                .iter()
+                .map(|&j| (d_iv + game.distance(v, j) * self.deflation) / game.distance(i, j))
+                .collect()
         };
         self.rows[k] = LazyRow::Lower(lower);
         false
@@ -683,6 +692,8 @@ impl<'a> LazyRows<'a> {
         let (sol, work) = solve_greedy_over(self);
         self.scan.certified_rejects += work.certified_rejects;
         self.scan.exact_evals += work.escalations;
+        self.scan.greedy_scores += work.scores;
+        self.scan.stale_skips += work.stale_skips;
         let links: LinkSet = sol.open.iter().map(|&f| self.candidates[f]).collect();
         (links, sol.cost)
     }

@@ -224,13 +224,23 @@ pub struct SessionStats {
     /// lower-bound row alone: single-link moves rejected by a cached
     /// [`GameSession::first_improving_move`], and facility scores a
     /// cached [`BestResponseMethod::Greedy`] response (`best_response`,
-    /// `nash_gap`, `is_nash`, `best_responses_round`) dropped. Each one
-    /// skips the exact rows an eager oracle would have swept or
-    /// converted.
+    /// `nash_gap`, `is_nash`, `best_responses_round`) dropped, either on
+    /// a lower-bound row or on a stale-score bound
+    /// ([`SessionStats::lazy_stale_skips`]). Each one skips the exact
+    /// rows an eager oracle would have swept or converted.
     pub lazy_certified_rejects: usize,
     /// Candidate evaluations of the same paths whose lower bound could
     /// still win and therefore paid for exact rows.
     pub lazy_exact_evals: usize,
+    /// Facility evaluations of cached Greedy responses that scored a
+    /// row; the textbook greedy would have scored these plus
+    /// [`SessionStats::lazy_stale_skips`].
+    pub lazy_greedy_scores: usize,
+    /// Facility evaluations of cached Greedy responses skipped because a
+    /// score carried over from an earlier greedy pass certifies they
+    /// cannot win (also counted in
+    /// [`SessionStats::lazy_certified_rejects`]).
+    pub lazy_stale_skips: usize,
 }
 
 impl SessionStats {
@@ -279,6 +289,8 @@ impl SessionStats {
             sparse_exact_fallbacks,
             lazy_certified_rejects,
             lazy_exact_evals,
+            lazy_greedy_scores,
+            lazy_stale_skips,
         } = *other;
         self.csr_rebuilds += csr_rebuilds;
         self.full_sssp += full_sssp;
@@ -307,6 +319,8 @@ impl SessionStats {
         self.sparse_exact_fallbacks += sparse_exact_fallbacks;
         self.lazy_certified_rejects += lazy_certified_rejects;
         self.lazy_exact_evals += lazy_exact_evals;
+        self.lazy_greedy_scores += lazy_greedy_scores;
+        self.lazy_stale_skips += lazy_stale_skips;
     }
 }
 
@@ -1337,7 +1351,9 @@ impl GameSession {
     /// `G_{-i}` sweep only while its lower bound can still win. Counts
     /// the row accounting into `counter`'s bucket and the bound outcomes
     /// into [`SessionStats::lazy_certified_rejects`] /
-    /// [`SessionStats::lazy_exact_evals`].
+    /// [`SessionStats::lazy_exact_evals`] (Greedy queries also into
+    /// [`SessionStats::lazy_greedy_scores`] /
+    /// [`SessionStats::lazy_stale_skips`]).
     fn lazy_query<T>(
         &mut self,
         peer: PeerId,
@@ -1356,6 +1372,8 @@ impl GameSession {
         self.count_oracle(counter, scan.reuse);
         self.stats.lazy_certified_rejects += scan.certified_rejects;
         self.stats.lazy_exact_evals += scan.exact_evals;
+        self.stats.lazy_greedy_scores += scan.greedy_scores;
+        self.stats.lazy_stale_skips += scan.stale_skips;
         Ok(out)
     }
 

@@ -93,6 +93,16 @@ pub fn solve_branch_and_bound(p: &FacilityProblem) -> FacilitySolution {
         b
     }
 
+    /// Whether a subtree whose cost is bounded below by `lower` can be
+    /// cut against the incumbent's cost `best`: it can at best tie, and
+    /// a tie keeps the incumbent. The bound is a different summation
+    /// order from a leaf's total, so the search is exact up to that
+    /// rounding (callers compare with the exact solvers under a relative
+    /// tolerance); a band would only cut more.
+    fn prunes(lower: f64, best: f64) -> bool {
+        lower >= best
+    }
+
     fn dfs(
         ctx: &mut Ctx<'_>,
         idx: usize,
@@ -103,13 +113,14 @@ pub fn solve_branch_and_bound(p: &FacilityProblem) -> FacilitySolution {
         let nf = ctx.order.len();
         if idx == nf {
             let total = open_cost + current.iter().sum::<f64>();
+            // sp-lint: allow(float-eps, reason = "incumbent update: only a strictly cheaper leaf replaces it, so ties keep the first-found set; an eps band would keep a costlier one")
             if total < ctx.best_cost {
                 ctx.best_cost = total;
                 ctx.best_open = open.clone();
             }
             return;
         }
-        if bound(ctx, idx, open_cost, current) >= ctx.best_cost {
+        if prunes(bound(ctx, idx, open_cost, current), ctx.best_cost) {
             return;
         }
         let f = ctx.order[idx];
@@ -134,7 +145,7 @@ pub fn solve_branch_and_bound(p: &FacilityProblem) -> FacilitySolution {
         for step in 0..2 {
             let do_open = (step == 0) == explore_open_first;
             if do_open {
-                if open_bound >= ctx.best_cost {
+                if prunes(open_bound, ctx.best_cost) {
                     continue;
                 }
                 for &(c, _) in &saved {
@@ -147,7 +158,7 @@ pub fn solve_branch_and_bound(p: &FacilityProblem) -> FacilitySolution {
                     current[c] = v;
                 }
             } else {
-                if closed_bound >= ctx.best_cost {
+                if prunes(closed_bound, ctx.best_cost) {
                     continue;
                 }
                 dfs(ctx, idx + 1, open_cost, open, current);

@@ -67,6 +67,7 @@ pub fn solve_enumeration(p: &FacilityProblem) -> Result<FacilitySolution, Facili
                 cost += oc;
             }
         }
+        // sp-lint: allow(float-eps, reason = "exact early exit: the remaining terms are non-negative and IEEE addition is monotone, so a partial sum strictly above the incumbent cannot tie or win")
         if cost > best_cost {
             continue; // opening costs alone already lose
         }
@@ -83,6 +84,7 @@ pub fn solve_enumeration(p: &FacilityProblem) -> Result<FacilitySolution, Facili
                 }
             }
             cost += cheapest;
+            // sp-lint: allow(float-eps, reason = "exact early exit: the remaining terms are non-negative and IEEE addition is monotone, so a partial sum strictly above the incumbent cannot tie or win")
             if cost > best_cost {
                 complete = false;
                 break;
@@ -91,10 +93,13 @@ pub fn solve_enumeration(p: &FacilityProblem) -> Result<FacilitySolution, Facili
         if !complete || !cost.is_finite() {
             continue;
         }
-        let better = cost < best_cost
-            || (cost == best_cost
-                && (pop < best_popcount || (pop == best_popcount && mask < best_mask)));
-        if better {
+        // Lexicographic `(cost, popcount, mask)`: neither cost is NaN
+        // or `-0.0` (sums start at `+0.0`), so `total_cmp` is `<`/`==`.
+        let order = cost
+            .total_cmp(&best_cost)
+            .then(pop.cmp(&best_popcount))
+            .then(mask.cmp(&best_mask));
+        if order.is_lt() {
             best_cost = cost;
             best_mask = mask;
             best_popcount = pop;

@@ -17,14 +17,20 @@
 //! * [`solve_branch_and_bound`] — exact, prunes with an admissible lower
 //!   bound; handles considerably larger instances.
 //! * [`solve_greedy`] — classic marginal-gain greedy (logarithmic
-//!   approximation); [`solve_greedy_over`] runs the same greedy over any
-//!   [`GreedyRows`] source, including one that hands out lower-bound rows
-//!   and makes them exact only on demand.
+//!   approximation), run lazily: a facility's score from an earlier pass,
+//!   lowered by how far the per-client incumbents have fallen since (and
+//!   a derived float slack), certifies it cannot win, so late passes skip
+//!   most facilities unscored while opening the same set at a
+//!   bitwise-equal cost as the textbook greedy. [`solve_greedy_over`]
+//!   runs the same greedy over any [`GreedyRows`] source, including one
+//!   that hands out lower-bound rows and makes them exact only on demand;
+//!   [`GreedyWork`] counts what it scored and skipped.
 //! * [`solve_local_search`] — add/drop/swap local search seeded by greedy
 //!   (constant-factor approximation for metric instances).
 //!
-//! The exact solvers agree with each other and upper-bound the heuristics;
-//! property tests in `tests/` enforce this.
+//! The exact solvers agree with each other and upper-bound the heuristics,
+//! and the lazy greedy is bitwise the textbook greedy (kept in the test
+//! suite as the reference); property tests in `tests/` enforce this.
 //!
 //! # Example
 //!

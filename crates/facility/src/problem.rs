@@ -39,6 +39,7 @@ impl FacilityProblem {
     ///   non-negative, or any assignment cost is NaN or negative
     ///   (assignment costs may be `+∞`).
     pub fn new(open_costs: Vec<f64>, assignment: Vec<Vec<f64>>) -> Result<Self, FacilityError> {
+        // sp-lint: allow(float-eps, reason = "compares two vector lengths, not float values")
         if open_costs.len() != assignment.len() {
             return Err(FacilityError::CostCountMismatch {
                 costs: open_costs.len(),

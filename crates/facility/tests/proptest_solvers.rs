@@ -1,17 +1,18 @@
 //! Property tests pinning the solver hierarchy:
 //! `enumeration == branch-and-bound <= local search <= greedy` (in cost),
-//! plus the early-exit greedy's bit-identity to the textbook greedy, over
+//! plus the lazy greedy's bit-identity to the textbook greedy, over
 //! exact rows and over lower-bound rows made exact on demand.
 
 use proptest::prelude::*;
 use sp_facility::{
     solve_branch_and_bound, solve_enumeration, solve_greedy, solve_greedy_over, solve_local_search,
-    FacilityProblem, FacilitySolution, GreedyRows,
+    FacilityProblem, FacilitySolution, GreedyRows, GreedyWork,
 };
 
 /// The textbook greedy exactly as `solve_greedy` ran before it learned
-/// the early exit: every candidate's full score, every pass. Kept as the
-/// reference the early-exit solver must reproduce bit for bit.
+/// the early exit and the stale-score skips: every candidate's full
+/// score, every pass. Kept as the reference the lazy solver must
+/// reproduce bit for bit.
 #[allow(clippy::needless_range_loop)]
 mod textbook {
     use sp_facility::{FacilityProblem, FacilitySolution};
@@ -184,6 +185,150 @@ fn arb_problem_with_ties() -> impl Strategy<Value = FacilityProblem> {
     })
 }
 
+/// `x` moved `steps` ulps up (positive) or down (negative), floored at
+/// zero so it stays a valid cost.
+fn nudge(x: f64, steps: i32) -> f64 {
+    let mut x = x;
+    for _ in 0..steps.unsigned_abs() {
+        x = if steps > 0 {
+            x.next_up()
+        } else {
+            x.next_down()
+        };
+    }
+    x.max(0.0)
+}
+
+/// Instances up to 48×48 whose entries are a few base values and their
+/// 1-ulp neighbours, with some `+∞` entries and heterogeneous opening
+/// costs (zero among them). Candidate scores then differ by a few ulps
+/// across facilities and passes, where the stale-score bound's float
+/// slack is what keeps a skip sound.
+fn arb_near_tie_problem() -> impl Strategy<Value = FacilityProblem> {
+    let base = || prop_oneof![Just(0.0f64), Just(0.5), Just(1.0), 0.0f64..10.0];
+    (
+        1usize..=48,
+        1usize..=48,
+        proptest::collection::vec(base(), 4..=4),
+    )
+        .prop_flat_map(move |(nf, nc, bases)| {
+            let entry = (0usize..4, -1i32..=1, 0u8..16);
+            let cost = (0u8..3, -1i32..=1, 0.0f64..4.0);
+            (
+                Just(bases),
+                proptest::collection::vec(cost, nf..=nf),
+                proptest::collection::vec(proptest::collection::vec(entry, nc..=nc), nf..=nf),
+            )
+        })
+        .prop_map(|(bases, costs, rows)| {
+            let costs = costs
+                .into_iter()
+                .map(|(kind, steps, v)| match kind {
+                    0 => 0.0,
+                    1 => nudge(bases[0], steps),
+                    _ => v,
+                })
+                .collect();
+            let rows = rows
+                .into_iter()
+                .map(|row| {
+                    row.into_iter()
+                        .map(|(k, steps, inf)| {
+                            if inf == 0 {
+                                f64::INFINITY
+                            } else {
+                                nudge(bases[k], steps)
+                            }
+                        })
+                        .collect()
+                })
+                .collect();
+            FacilityProblem::new(costs, rows).unwrap()
+        })
+}
+
+/// `p` with lower-bound rows to go with it: each exact row scaled by a
+/// per-facility factor in `[0, 1]`, some entries zeroed.
+fn with_lower_rows(
+    problem: impl Strategy<Value = FacilityProblem>,
+) -> impl Strategy<Value = (FacilityProblem, Vec<Vec<f64>>)> {
+    problem
+        .prop_flat_map(|p| {
+            let (nf, nc) = (p.facility_count(), p.client_count());
+            (
+                Just(p),
+                proptest::collection::vec(
+                    prop_oneof![Just(0.0f64), Just(1.0), 0.0f64..1.0],
+                    nf..=nf,
+                ),
+                proptest::collection::vec(0u8..5, nf * nc..=nf * nc),
+            )
+        })
+        .prop_map(|(p, scales, zeroed)| {
+            let nc = p.client_count();
+            let lower = (0..p.facility_count())
+                .map(|f| {
+                    p.assignment_row(f)
+                        .iter()
+                        .enumerate()
+                        .map(|(c, &a)| {
+                            if zeroed[f * nc + c] == 0 {
+                                0.0
+                            } else {
+                                a * scales[f]
+                            }
+                        })
+                        .collect()
+                })
+                .collect();
+            (p, lower)
+        })
+}
+
+/// Runs the greedy over `lower`, checks it answers bitwise like the
+/// textbook greedy over the exact rows, opens only exact rows, escalates
+/// exactly the rows it made exact, and evaluates every closed facility
+/// once per pass.
+fn check_lower_rows(p: &FacilityProblem, lower: Vec<Vec<f64>>) -> Result<(), TestCaseError> {
+    let mut rows = BoundedRows {
+        exact: p,
+        lower,
+        resolved: vec![false; p.facility_count()],
+    };
+    let (got, work) = solve_greedy_over(&mut rows);
+    assert_bitwise_same(&got, &textbook::solve_greedy(p))?;
+    for &f in &got.open {
+        prop_assert!(
+            rows.resolved[f],
+            "opened facility {} was never made exact",
+            f
+        );
+    }
+    prop_assert_eq!(
+        work.escalations,
+        rows.resolved.iter().filter(|&&r| r).count()
+    );
+    check_visits(p, &got, work)
+}
+
+/// Every pass evaluates each closed facility exactly once, by a score
+/// or a stale-score skip, and every skip is a certified rejection.
+fn check_visits(
+    p: &FacilityProblem,
+    got: &FacilitySolution,
+    work: GreedyWork,
+) -> Result<(), TestCaseError> {
+    let nf = p.facility_count();
+    let visits: usize = if p.client_count() == 0 {
+        0
+    } else {
+        (0..=got.open.len()).map(|k| nf - k).sum()
+    };
+    prop_assert_eq!(work.scores + work.stale_skips, visits);
+    prop_assert!(work.stale_skips <= work.certified_rejects);
+    Ok(())
+}
+
 fn arb_problem() -> impl Strategy<Value = FacilityProblem> {
     (1usize..=7, 1usize..=7, 0.0f64..8.0).prop_flat_map(|(nf, nc, open_cost)| {
         proptest::collection::vec(proptest::collection::vec(0.0f64..10.0, nc..=nc), nf..=nf)
@@ -295,36 +440,27 @@ proptest! {
     /// it only escalates rows whose bound could still win.
     #[test]
     fn lower_bound_rows_give_the_exact_greedy(
-        (p, scales, zeroed) in arb_problem_with_ties().prop_flat_map(|p| {
-            let (nf, nc) = (p.facility_count(), p.client_count());
-            (
-                Just(p),
-                proptest::collection::vec(prop_oneof![Just(0.0f64), Just(1.0), 0.0f64..1.0], nf..=nf),
-                proptest::collection::vec(0u8..5, nf * nc..=nf * nc),
-            )
-        }),
+        (p, lower) in with_lower_rows(arb_problem_with_ties()),
     ) {
-        let nc = p.client_count();
-        let lower: Vec<Vec<f64>> = (0..p.facility_count())
-            .map(|f| {
-                p.assignment_row(f)
-                    .iter()
-                    .enumerate()
-                    .map(|(c, &a)| if zeroed[f * nc + c] == 0 { 0.0 } else { a * scales[f] })
-                    .collect()
-            })
-            .collect();
-        let mut rows = BoundedRows {
-            exact: &p,
-            lower,
-            resolved: vec![false; p.facility_count()],
-        };
-        let (got, work) = solve_greedy_over(&mut rows);
+        check_lower_rows(&p, lower)?;
+    }
+
+    /// Near ties at scale: the lazy greedy's stale-score skips keep it
+    /// bitwise the textbook greedy when candidate scores sit a few ulps
+    /// apart, unreachable clients and free facilities included.
+    #[test]
+    fn lazy_greedy_is_the_textbook_greedy_on_near_ties(p in arb_near_tie_problem()) {
+        let (got, work) = solve_greedy_over(&mut &p);
         assert_bitwise_same(&got, &textbook::solve_greedy(&p))?;
-        for &f in &got.open {
-            prop_assert!(rows.resolved[f], "opened facility {} was never made exact", f);
-        }
-        prop_assert_eq!(work.escalations, rows.resolved.iter().filter(|&&r| r).count());
+        prop_assert_eq!(work.escalations, 0);
+        check_visits(&p, &got, work)?;
+    }
+
+    #[test]
+    fn lazy_greedy_over_lower_rows_is_the_textbook_greedy_on_near_ties(
+        (p, lower) in with_lower_rows(arb_near_tie_problem()),
+    ) {
+        check_lower_rows(&p, lower)?;
     }
 }
 

@@ -61,6 +61,7 @@ impl Config {
                 "crates/graph/src/",
                 "crates/core/src/",
                 "crates/dynamics/src/",
+                "crates/facility/src/",
             ]),
             float_vocab: s(&["dist", "cost", "stretch", "gap", "d_"]),
             nondet_paths: s(&[

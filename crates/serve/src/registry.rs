@@ -600,6 +600,8 @@ impl SessionRegistry {
             ("work.csr_rebuilds", w.csr_rebuilds),
             ("work.full_sssp", w.full_sssp),
             ("work.incremental_relaxations", w.incremental_relaxations),
+            ("work.lazy_greedy_scores", w.lazy_greedy_scores),
+            ("work.lazy_stale_skips", w.lazy_stale_skips),
             ("work.oracle_builds", w.oracle_builds),
             ("work.snapshot_exports", w.snapshot_exports),
             ("work.snapshot_restores", w.snapshot_restores),
