@@ -9,9 +9,11 @@
 //! repair pass against the union of changed links.
 //!
 //! Besides the wall-clock comparison (snapshot committed as
-//! `BENCH_batched_apply.json`), the bench prints and asserts the exact
-//! counter ratios: ≥ 2× fewer CSR rebuilds and strictly fewer
-//! repair-scan row visits for the batch.
+//! `BENCH_batched_apply.json`), the bench reports each path's CSR
+//! rebuilds, repair-scan row visits and full sweeps as counters
+//! (`bench_check --compare` gates them) and asserts the ratios: ≥ 2×
+//! fewer CSR rebuilds and strictly fewer repair-scan row visits for the
+//! batch.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::prelude::*;
@@ -128,6 +130,26 @@ fn bench_batched_round(c: &mut Criterion) {
             per_move.full_sssp,
             batched.full_sssp,
         );
+        for (path, stats, visits) in [
+            ("per_move", per_move, visits_per_move),
+            ("batched", batched, visits_batched),
+        ] {
+            c.report_value(
+                &format!("csr_rebuilds/{path}/{n}"),
+                stats.csr_rebuilds as f64,
+                "rebuilds",
+            );
+            c.report_value(
+                &format!("repair_visits/{path}/{n}"),
+                visits as f64,
+                "visits",
+            );
+            c.report_value(
+                &format!("full_sweeps/{path}/{n}"),
+                stats.full_sssp as f64,
+                "sweeps",
+            );
+        }
         assert!(
             rebuild_ratio >= 2.0,
             "batch must save at least 2x the CSR rebuilds, got {rebuild_ratio:.2}x"

@@ -10,10 +10,10 @@
 //! move.
 //!
 //! Besides the wall-clock comparison (written to
-//! `BENCH_session_vs_rebuild.json`),
-//! the bench prints the exact number of full single-source sweeps each
-//! path performed, so the "≥ 2× fewer full APSP recomputations" claim is
-//! directly visible.
+//! `BENCH_session_vs_rebuild.json`), the bench reports the exact number
+//! of full single-source sweeps and oracle fallback sweeps each path
+//! performed as counters (`bench_check --compare` gates them), and
+//! asserts the "≥ 2× fewer full APSP recomputations" claim.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::prelude::*;
@@ -121,6 +121,18 @@ fn bench_round(c: &mut Criterion) {
             rebuild_stats.seq_oracle_swept,
             session_stats.oracle_builds,
         );
+        for (path, stats) in [("session", session_stats), ("rebuild", rebuild_stats)] {
+            c.report_value(
+                &format!("full_sweeps/{path}/{n}"),
+                stats.full_sssp as f64,
+                "sweeps",
+            );
+            c.report_value(
+                &format!("oracle_sweeps/{path}/{n}"),
+                stats.seq_oracle_swept as f64,
+                "sweeps",
+            );
+        }
         assert!(
             ratio >= 2.0,
             "session must save at least 2x the full sweeps, got {ratio:.2}x"

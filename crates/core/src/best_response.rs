@@ -1,6 +1,6 @@
 use sp_facility::{
     solve_branch_and_bound, solve_enumeration, solve_greedy, solve_greedy_over, solve_local_search,
-    FacilityError, FacilityProblem, GreedyRows,
+    FacilityError, FacilityProblem, GreedyRows, ENUMERATION_FACILITY_LIMIT,
 };
 use sp_graph::{edge_on_path, CsrGraph, DijkstraScratch};
 
@@ -171,8 +171,9 @@ impl ResponseOracle {
     /// 2. a **residual row** retained from an earlier build for the same
     ///    peer — kept exact across profile mutations by
     ///    [`OracleCache::repair_after_edges`] — is used as-is;
-    /// 3. otherwise the row pays a fresh `G_{-i}` sweep, and the result
-    ///    is retained for the next build (space permitting).
+    /// 3. otherwise the row pays a fresh `G_{-i}` sweep on the `overlay`
+    ///    CSR with `i` skipped, and the result is retained for the next
+    ///    build (space permitting).
     ///
     /// Candidate rows that are **invalid** in the overlay tier skip
     /// straight to step 2 — the lazy refill leaves a row invalid exactly
@@ -182,6 +183,7 @@ impl ResponseOracle {
         game: &Game,
         profile: &StrategyProfile,
         peer: PeerId,
+        overlay: &CsrGraph,
         cache: &mut OracleCache,
         scratch: &mut DijkstraScratch,
     ) -> Result<(Self, OracleReuse), CoreError> {
@@ -191,7 +193,7 @@ impl ResponseOracle {
         // The tier order is unchanged — overlay when valid and clean,
         // residual, fresh sweep — and every tier is exact, so laziness
         // never changes a value.
-        let mut rows = LazyRows::new(game, profile, peer, cache, scratch)?;
+        let mut rows = LazyRows::new(game, profile, peer, overlay, cache, scratch)?;
         for k in 0..rows.candidates.len() {
             rows.ensure_exact(k);
         }
@@ -364,6 +366,124 @@ fn metric_deflation(n: usize) -> f64 {
     (1.0 - (n + 4.0) * f64::EPSILON) / (1.0 + METRIC_TRIANGLE_TOLERANCE).powf(n)
 }
 
+/// The [`CoreError::InstanceTooLarge`] every response on an `n`-peer
+/// game raises under `method`, if any: exact enumeration past
+/// [`ENUMERATION_FACILITY_LIMIT`] candidates (the value
+/// [`ResponseOracle::solve`] maps the facility error to). Lets a scan
+/// that may skip every solve still fail like one that solves.
+pub(crate) fn check_solvable(method: BestResponseMethod, n: usize) -> Result<(), CoreError> {
+    if method == BestResponseMethod::ExactEnumeration && n > ENUMERATION_FACILITY_LIMIT + 1 {
+        return Err(CoreError::InstanceTooLarge {
+            n,
+            limit: ENUMERATION_FACILITY_LIMIT + 1,
+        });
+    }
+    Ok(())
+}
+
+/// The float-rounding slack of [`response_cost_floor`] and
+/// [`response_cost_floor_free`], per unit of the floor: a certified
+/// floor is `F − F·response_slack_unit(n)`, where `F` is the floor as
+/// computed in floating point.
+///
+/// Write `u = ε/2` for the unit roundoff, `γ_k = k·u / (1 − k·u)`, and
+/// `m = n − 1` for the number of candidates (and clients). Each floor
+/// is a bound in real arithmetic on the real sum of the `|S| + m` float
+/// terms a solver adds up for an open set `S` (`α` per open link,
+/// `min_{v ∈ S} a_vj` per client; the comparisons behind it are exact).
+/// Three float effects separate that from the values compared:
+///
+/// * every solver reports its cost as a float sum, in some order, of
+///   those at most `2m` non-negative terms, so the cost is at least
+///   `(1 − γ_{2m−1})` times their real sum;
+/// * [`response_cost_floor`] left-folds `m` terms
+///   `min(fl(1 + α), s_j)`, each within a factor `1 + u` of
+///   `min(1 + α, s_j)`, so its `F` is at most `(1 + u)(1 + γ_{m−1})`
+///   times the real floor; [`response_cost_floor_free`] rounds twice
+///   (`(1 + u)²`);
+/// * the product `F·unit` and the subtraction round once each, by at
+///   most `u·F`.
+///
+/// Together that is under `(3m + 2)·u = (1.5m + 1)·ε` of `F`, up to
+/// second-order terms; `(2n + 8)·ε` leaves room for those. Both floors
+/// are finite (every term is at most `fl(1 + α)`), and sums of subnormal
+/// floats are exact, so underflow only shrinks the error.
+fn response_slack_unit(n: usize) -> f64 {
+    (2 * n + 8) as f64 * f64::EPSILON
+}
+
+/// A certified lower bound on the cost of every response of any peer
+/// that reads no distance row: `α + (n − 1)·δ` with
+/// `δ = metric_deflation(n)`, less the slack derived at
+/// [`response_slack_unit`] (`n ≥ 2`).
+///
+/// A response opens at least one link (else some client is unserved
+/// and the cost is `+∞`), and every assignment entry is at least `δ`:
+/// the direct entry `a_jj` is exactly 1, and for `v ≠ j` the float sum
+/// `d_iv + D_{G_{-i}}(v, j)` adds up the edge lengths of a simple path
+/// from `i` to `j` with at most `n − 1` edges (the left fold of the
+/// path from `v`, then `d_iv`). Its rounding, like a left fold's, loses
+/// at most a relative `(n − 2)·ε/2`, so [`metric_deflation`] bounds it
+/// below by `δ·d_ij`, and the rounded quotient is at least the float
+/// `δ`. This relies on the game being a metric within
+/// [`METRIC_TRIANGLE_TOLERANCE`], as [`Game`] requires.
+pub(crate) fn response_cost_floor_free(game: &Game) -> f64 {
+    let n = game.n();
+    let floor = game.alpha() + (n - 1) as f64 * metric_deflation(n);
+    floor - floor * response_slack_unit(n)
+}
+
+/// A certified lower bound on the cost of **every** response of peer
+/// `i` — whatever [`BestResponseMethod`] solves its UFL instance —
+/// read from the full overlay distance rows (`overlay.row(v)` must be
+/// valid for every `v ≠ i`).
+///
+/// The bound entries are `ℓ_vj = (d_iv + D_G(v, j)) / d_ij`: each is
+/// `≤` the oracle's entry over `G_{-i}` bit for bit, because removing
+/// `i`'s out-links only lengthens paths and rounding is monotone. With
+/// `s_j = min_{v ∉ {i, j}} ℓ_vj`, client `j` is either linked directly
+/// (entry exactly 1, plus that link's `α`) or served through another
+/// candidate, so any response costs at least `Σ_j min(1 + α, s_j)`,
+/// less the float slack derived at [`response_slack_unit`].
+///
+/// One `O(n²)` pass: a running per-client minimum of the path sums
+/// `d_iv + D_G(v, j)` over candidates `v`, each row split around its
+/// own client `j = v`, then one division per client (division is
+/// monotone, so dividing the minimum equals minimising the quotients).
+/// `through` is a reusable buffer.
+pub(crate) fn response_cost_floor(
+    game: &Game,
+    i: usize,
+    overlay: &OracleCache,
+    through: &mut Vec<f64>,
+) -> f64 {
+    let n = game.n();
+    through.clear();
+    through.resize(n, f64::INFINITY);
+    for v in (0..n).filter(|&v| v != i) {
+        let d_iv = game.distance(i, v);
+        let row = overlay.row(v);
+        let (before, after) = through.split_at_mut(v);
+        min_plus_into(before, &row[..v], d_iv);
+        min_plus_into(&mut after[1..], &row[v + 1..], d_iv);
+    }
+    let cap = 1.0 + game.alpha();
+    let mut floor = 0.0;
+    for j in (0..n).filter(|&j| j != i) {
+        floor += (through[j] / game.distance(i, j)).min(cap);
+    }
+    floor - floor * response_slack_unit(n)
+}
+
+/// `acc[j] = min(acc[j], add + row[j])`, written as a select so it
+/// vectorises.
+fn min_plus_into(acc: &mut [f64], row: &[f64], add: f64) {
+    for (a, &d) in acc.iter_mut().zip(row) {
+        let t = add + d;
+        *a = if t < *a { t } else { *a };
+    }
+}
+
 /// Peer `i`'s assignment row through candidate `v`:
 /// `(d_iv + D(v, j)) / d_met(i, j)` over the candidate positions `j`.
 fn assign_row(game: &Game, i: usize, candidates: &[usize], v: usize, residual: &[f64]) -> Vec<f64> {
@@ -406,13 +526,15 @@ pub(crate) struct LazyRows<'a> {
     game: &'a Game,
     profile: &'a StrategyProfile,
     peer: PeerId,
+    /// The session's overlay CSR `G`; `G_{-i}` rows are swept on it with
+    /// `peer` skipped.
+    overlay: &'a CsrGraph,
     cache: &'a mut OracleCache,
     scratch: &'a mut DijkstraScratch,
     /// `peer`'s out-links `(target, weight)` for the overlay-clean test.
     out: Vec<(usize, f64)>,
     candidates: Vec<usize>,
     rows: Vec<LazyRow>,
-    g_minus: Option<CsrGraph>,
     deflation: f64,
     scan: LazyScan,
 }
@@ -427,6 +549,7 @@ impl<'a> LazyRows<'a> {
         game: &'a Game,
         profile: &'a StrategyProfile,
         peer: PeerId,
+        overlay: &'a CsrGraph,
         cache: &'a mut OracleCache,
         scratch: &'a mut DijkstraScratch,
     ) -> Result<Self, CoreError> {
@@ -446,12 +569,12 @@ impl<'a> LazyRows<'a> {
             game,
             profile,
             peer,
+            overlay,
             cache,
             scratch,
             out,
             candidates,
             rows,
-            g_minus: None,
             deflation: metric_deflation(n),
             scan: LazyScan::default(),
         })
@@ -519,9 +642,9 @@ impl<'a> LazyRows<'a> {
         false
     }
 
-    /// Ensures `rows[k]` is exact, sweeping `G_{-i}` if no free tier
-    /// serves it (and retaining the swept row in the residual tier,
-    /// exactly like the eager build).
+    /// Ensures `rows[k]` is exact, sweeping `G_{-i}` (the overlay with
+    /// `i` skipped) if no free tier serves it, and retaining the swept
+    /// row in the residual tier, exactly like the eager build.
     fn ensure_exact(&mut self, k: usize) {
         match self.rows[k] {
             LazyRow::Exact(_) => return,
@@ -537,16 +660,10 @@ impl<'a> LazyRows<'a> {
             LazyRow::Lower(_) => {}
         }
         self.scan.reuse.rows_swept += 1;
-        if self.g_minus.is_none() {
-            let g = topology_without_peer(self.game, self.profile, self.peer)
-                .expect("peer bounds checked in LazyRows::new");
-            self.g_minus = Some(CsrGraph::from_digraph(&g));
-        }
-        let csr = self.g_minus.as_ref().expect("built above");
-        let v = self.candidates[k];
-        let buf = csr.dijkstra_row_with(v, self.scratch);
-        let row = assign_row(self.game, self.peer.index(), &self.candidates, v, buf);
-        self.cache.store_residual(self.peer.index(), v, buf);
+        let (i, v) = (self.peer.index(), self.candidates[k]);
+        let buf = self.overlay.dijkstra_row_skipping_with(v, i, self.scratch);
+        let row = assign_row(self.game, i, &self.candidates, v, buf);
+        self.cache.store_residual(i, v, buf);
         self.rows[k] = LazyRow::Exact(row);
     }
 
@@ -824,9 +941,11 @@ mod tests {
         for i in 0..game.n() {
             let peer = PeerId::new(i);
             let exact = ResponseOracle::build(game, profile, peer).unwrap();
+            let overlay = CsrGraph::from_digraph(&crate::topology(game, profile).unwrap());
             let mut cache = OracleCache::new(game.n());
             let mut scratch = DijkstraScratch::new();
-            let mut rows = LazyRows::new(game, profile, peer, &mut cache, &mut scratch).unwrap();
+            let mut rows =
+                LazyRows::new(game, profile, peer, &overlay, &mut cache, &mut scratch).unwrap();
             for k in 0..game.n() - 1 {
                 rows.ensure_bound(k);
                 for (c, (&lo, &ex)) in rows

@@ -117,8 +117,9 @@ impl NashReport {
 
 /// Checks whether `profile` is a (pure) Nash equilibrium of `game`.
 ///
-/// Scans every peer, computing a response per [`NashTest::method`]; keeps
-/// the deviation with the largest improvement. Thin wrapper over
+/// Reports the deviation with the largest improvement, responses
+/// computed per [`NashTest::method`]; peers whose certified improvement
+/// bound cannot change that answer are never solved. Thin wrapper over
 /// [`GameSession::is_nash`] building a throwaway session.
 ///
 /// # Errors

@@ -53,7 +53,10 @@
 //! dirty overlay row, else the metric row deflated for rounding and the
 //! accepted triangle slack) and pays for an exact `G_{-i}` row only
 //! while that bound can still strictly beat the incumbent move or
-//! greedy pick.
+//! greedy pick. Equilibrium checks ([`GameSession::nash_gap`],
+//! [`GameSession::is_nash`]) apply the same idea one level up: they
+//! solve a peer's best response only while a certified bound on its
+//! improvement can still change the answer.
 //!
 //! [`SessionStats`] counts the sweeps actually performed, so benchmarks
 //! and tests can verify the cache earns its keep.
@@ -71,12 +74,17 @@
 //! `G_{-i}` sweeps — `O(n)` memory at a time — counted in
 //! [`SessionStats::sparse_exact_fallbacks`].
 
+use std::cmp::Ordering;
+use std::collections::BinaryHeap;
 use std::sync::Arc;
 
 use sp_graph::{CsrGraph, DiGraph, DijkstraScratch, DistanceMatrix};
 
 use crate::backend::{BackendMode, DenseBackend, SessionBackend};
-use crate::best_response::{LazyRows, OracleReuse, ResponseOracle};
+use crate::best_response::{
+    check_solvable, response_cost_floor, response_cost_floor_free, LazyRows, OracleReuse,
+    ResponseOracle,
+};
 use crate::cost::peer_cost_from_distances;
 use crate::equilibrium::{Deviation, NashReport, NashTest};
 use crate::sparse::{LocalCounts, SparseBackend, SparseParams};
@@ -241,6 +249,11 @@ pub struct SessionStats {
     /// cannot win (also counted in
     /// [`SessionStats::lazy_certified_rejects`]).
     pub lazy_stale_skips: usize,
+    /// Peers a dense [`GameSession::nash_gap`] or
+    /// [`GameSession::is_nash`] never solved a best response for,
+    /// because a certified bound on their improvement showed it could
+    /// not change the answer.
+    pub nash_peers_pruned: usize,
 }
 
 impl SessionStats {
@@ -291,6 +304,7 @@ impl SessionStats {
             lazy_exact_evals,
             lazy_greedy_scores,
             lazy_stale_skips,
+            nash_peers_pruned,
         } = *other;
         self.csr_rebuilds += csr_rebuilds;
         self.full_sssp += full_sssp;
@@ -321,6 +335,7 @@ impl SessionStats {
         self.lazy_exact_evals += lazy_exact_evals;
         self.lazy_greedy_scores += lazy_greedy_scores;
         self.lazy_stale_skips += lazy_stale_skips;
+        self.nash_peers_pruned += nash_peers_pruned;
     }
 }
 
@@ -1335,10 +1350,12 @@ impl GameSession {
         counter: OracleCounter,
     ) -> Result<ResponseOracle, CoreError> {
         self.ensure_rows_for_oracle(peer);
+        self.ensure_csr();
         let (oracle, reuse): (ResponseOracle, OracleReuse) = ResponseOracle::build_from_cache(
             &self.game,
             &self.profile,
             peer,
+            self.csr.as_ref().expect("ensured above"),
             self.backend.dense_mut(),
             &mut self.scratch,
         )?;
@@ -1360,10 +1377,12 @@ impl GameSession {
         counter: OracleCounter,
         query: impl FnOnce(&mut LazyRows<'_>) -> T,
     ) -> Result<T, CoreError> {
+        self.ensure_csr();
         let mut rows = LazyRows::new(
             &self.game,
             &self.profile,
             peer,
+            self.csr.as_ref().expect("ensured above"),
             self.backend.dense_mut(),
             &mut self.scratch,
         )?;
@@ -1716,14 +1735,45 @@ impl GameSession {
     /// Oracles come from the persistent cache, so monitoring loops that
     /// call this between moves pay only for what changed.
     ///
+    /// Dense sessions solve best responses only for peers that can still
+    /// raise the maximum. Every peer gets a certified **upper bound** on
+    /// its improvement, `ub_i = c_i − LB_i`: its current cost less a
+    /// certified lower bound on the cost of any response. `LB_i` starts
+    /// as a floor that reads no row (`α + (n − 1)·δ`, every assignment
+    /// entry being at least the metric deflation `δ`) and is tightened
+    /// to the overlay-row floor `Σ_j min(1 + α, s_j)` — an `O(n²)` pass —
+    /// only when a peer comes up for solving. Peers are visited in
+    /// descending `ub_i`, lower index first on ties; a peer whose bound
+    /// cannot strictly beat the running maximum is skipped, and so is
+    /// every peer after it. A skipped peer's improvement is at most the
+    /// maximum already found, and the maximum does not depend on visit
+    /// order, so the gap is bit-identical to solving every peer — for
+    /// every [`BestResponseMethod`], since each method's reported cost is
+    /// at least the certified bound (the derivation is at
+    /// `best_response::response_slack_unit`). Skipped peers count in
+    /// [`SessionStats::nash_peers_pruned`]. Sparse sessions solve every
+    /// peer.
+    ///
     /// # Errors
     ///
     /// Same conditions as [`GameSession::best_response`].
     pub fn nash_gap(&mut self, method: BestResponseMethod) -> Result<f64, CoreError> {
         let mut gap = 0.0f64;
-        for i in 0..self.game.n() {
-            let br = self.best_response(PeerId::new(i), method)?;
-            let imp = br.improvement();
+        if self.backend.is_sparse() || self.game.n() < 2 {
+            for i in 0..self.game.n() {
+                let imp = self.best_response(PeerId::new(i), method)?.improvement();
+                // sp-lint: allow(float-eps, reason = "running max: exact comparison of computed values; ties leave the identical max")
+                if imp > gap {
+                    gap = imp;
+                }
+            }
+            return Ok(gap);
+        }
+        check_solvable(method, self.game.n())?;
+        let mut scan = self.certified_scan();
+        // sp-lint: allow(float-eps, reason = "certified prune: the bound's float slack is derived at response_slack_unit; a tie cannot raise the max")
+        while let Some(peer) = self.next_to_solve(&mut scan, |b| b.ub <= gap) {
+            let imp = self.best_response(PeerId::new(peer), method)?.improvement();
             // sp-lint: allow(float-eps, reason = "running max: exact comparison of computed values; ties leave the identical max")
             if imp > gap {
                 gap = imp;
@@ -1734,38 +1784,187 @@ impl GameSession {
 
     /// Checks whether the current profile is a (pure) Nash equilibrium.
     ///
+    /// The reported deviation is the one with the largest improvement
+    /// among peers whose response passes [`BestResponse::improves`],
+    /// the lowest peer index among equal improvements. Dense sessions
+    /// find it with the certified scan of [`GameSession::nash_gap`]: a
+    /// peer is skipped when its improvement bound cannot beat the
+    /// current pick under that `(improvement, lower index)` order, or
+    /// when its response-cost floor already fails the tolerance test.
+    /// The report — deviation peer, links and costs — is bit-identical
+    /// to solving every peer; skipped peers count in
+    /// [`SessionStats::nash_peers_pruned`].
+    ///
     /// # Errors
     ///
     /// Same conditions as [`GameSession::best_response`].
     pub fn is_nash(&mut self, test: &NashTest) -> Result<NashReport, CoreError> {
-        let peer_costs = self.all_peer_costs();
         let mut best: Option<Deviation> = None;
-        for i in 0..self.game.n() {
-            let peer = PeerId::new(i);
-            let br = self.best_response(peer, test.method)?;
-            if br.improves(test.tolerance) {
-                let dev = Deviation {
-                    peer,
-                    links: br.links,
-                    old_cost: br.current_cost,
-                    new_cost: br.cost,
-                };
-                let replace = match &best {
-                    None => true,
-                    Some(b) => dev.improvement() > b.improvement(),
-                };
-                if replace {
-                    best = Some(dev);
-                }
+        let consider = |br: BestResponse, best: &mut Option<Deviation>| {
+            if !br.improves(test.tolerance) {
+                return;
             }
+            let dev = Deviation {
+                peer: br.peer,
+                links: br.links,
+                old_cost: br.current_cost,
+                new_cost: br.cost,
+            };
+            let replace = best.as_ref().is_none_or(|b| {
+                let (new, old) = (dev.improvement(), b.improvement());
+                new > old || (new == old && dev.peer < b.peer)
+            });
+            if replace {
+                *best = Some(dev);
+            }
+        };
+        if self.backend.is_sparse() || self.game.n() < 2 {
+            let peer_costs = self.all_peer_costs();
+            for i in 0..self.game.n() {
+                consider(self.best_response(PeerId::new(i), test.method)?, &mut best);
+            }
+            return Ok(NashReport {
+                best_deviation: best,
+                certified_exact: test.method.is_exact(),
+                peer_costs,
+            });
+        }
+        check_solvable(test.method, self.game.n())?;
+        let mut scan = self.certified_scan();
+        let ruled_out = |b: &PeerBound, best: &Option<Deviation>| {
+            // `improves` needs `cost < threshold`, and the cost is at
+            // least the floor.
+            let threshold = b.current - test.tolerance * (1.0 + b.current.abs());
+            let floored = b.current.is_finite() && b.floor >= threshold;
+            floored
+                || best.as_ref().is_some_and(|d| {
+                    let top = d.improvement();
+                    b.ub < top || (b.ub == top && b.peer > d.peer.index())
+                })
+        };
+        while let Some(peer) = self.next_to_solve(&mut scan, |b| ruled_out(b, &best)) {
+            consider(
+                self.best_response(PeerId::new(peer), test.method)?,
+                &mut best,
+            );
         }
         Ok(NashReport {
             best_deviation: best,
             certified_exact: test.method.is_exact(),
-            peer_costs,
+            peer_costs: scan.costs,
         })
     }
+
+    /// Starts the certified equilibrium scan of a dense session with
+    /// `n ≥ 2` peers: fills every overlay row (the same sweeps per-peer
+    /// cost queries pay), takes every peer's current cost, and queues
+    /// every peer on the row-free floor.
+    fn certified_scan(&mut self) -> CertifiedScan {
+        let costs = self.all_peer_costs();
+        let free = response_cost_floor_free(&self.game);
+        let queue = costs
+            .iter()
+            .enumerate()
+            .map(|(peer, &current)| PeerBound::new(peer, current, free, false))
+            .collect();
+        CertifiedScan {
+            costs,
+            queue,
+            through: Vec::new(),
+        }
+    }
+
+    /// The next peer the certified scan must solve, in descending
+    /// improvement bound (lower index first on ties), or `None` when
+    /// every peer is solved or ruled out. A peer `ruled_out` rejects —
+    /// given the answer so far — is dropped and counted in
+    /// [`SessionStats::nash_peers_pruned`]; a peer still on the row-free
+    /// floor is first tightened to the overlay-row floor
+    /// (`best_response::response_cost_floor`) and requeued.
+    fn next_to_solve(
+        &mut self,
+        scan: &mut CertifiedScan,
+        ruled_out: impl Fn(&PeerBound) -> bool,
+    ) -> Option<usize> {
+        while let Some(bound) = scan.queue.pop() {
+            if ruled_out(&bound) {
+                self.stats.nash_peers_pruned += 1;
+                continue;
+            }
+            if bound.refined {
+                return Some(bound.peer);
+            }
+            let cache = self.backend.dense();
+            let rows = response_cost_floor(&self.game, bound.peer, cache, &mut scan.through);
+            let floor = bound.floor.max(rows);
+            scan.queue
+                .push(PeerBound::new(bound.peer, bound.current, floor, true));
+        }
+        None
+    }
 }
+
+/// The state of a certified equilibrium scan ([`GameSession::nash_gap`],
+/// [`GameSession::is_nash`]).
+struct CertifiedScan {
+    /// Every peer's current cost.
+    costs: Vec<f64>,
+    /// Peers neither solved nor ruled out, highest bound first.
+    queue: BinaryHeap<PeerBound>,
+    /// Reusable buffer of `best_response::response_cost_floor`.
+    through: Vec<f64>,
+}
+
+/// One peer's entry in the certified equilibrium scan, ordered by
+/// improvement bound, then lower peer index first.
+#[derive(Debug, Clone, Copy)]
+struct PeerBound {
+    peer: usize,
+    /// The peer's current cost.
+    current: f64,
+    /// Certified lower bound on the cost of any response of `peer`.
+    floor: f64,
+    /// Certified upper bound on `peer`'s improvement: `current − floor`
+    /// (`+∞` when that is NaN, so it is never ruled out).
+    ub: f64,
+    /// Whether `floor` includes the overlay-row floor yet.
+    refined: bool,
+}
+
+impl PeerBound {
+    fn new(peer: usize, current: f64, floor: f64, refined: bool) -> Self {
+        let ub = current - floor;
+        PeerBound {
+            peer,
+            current,
+            floor,
+            ub: if ub.is_nan() { f64::INFINITY } else { ub },
+            refined,
+        }
+    }
+}
+
+impl Ord for PeerBound {
+    fn cmp(&self, other: &Self) -> Ordering {
+        self.ub
+            .total_cmp(&other.ub)
+            .then_with(|| other.peer.cmp(&self.peer))
+    }
+}
+
+impl PartialOrd for PeerBound {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl PartialEq for PeerBound {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other).is_eq()
+    }
+}
+
+impl Eq for PeerBound {}
 
 #[cfg(test)]
 mod tests {
@@ -2340,6 +2539,20 @@ mod tests {
         .unwrap();
         assert_eq!(par.social_cost(), seq.social_cost());
         assert_matches_free_functions(&mut par);
+    }
+
+    #[test]
+    fn certified_scan_fails_like_a_solve_on_oversized_enumeration() {
+        let n = 26;
+        let line = LineSpace::new((0..n).map(|p| p as f64).collect()).unwrap();
+        let g = Game::from_space(&line, 1.0).unwrap();
+        let mut s = GameSession::new(g, StrategyProfile::complete(n)).unwrap();
+        let method = BestResponseMethod::ExactEnumeration;
+        let want = s.best_response(PeerId::new(0), method).unwrap_err();
+        assert_eq!(want, CoreError::InstanceTooLarge { n, limit: 25 });
+        assert_eq!(s.nash_gap(method).unwrap_err(), want);
+        let test = NashTest::exact_enumeration();
+        assert_eq!(s.is_nash(&test).unwrap_err(), want);
     }
 
     #[test]

@@ -196,6 +196,18 @@ impl CsrGraph {
         dist: &mut [f64],
         scratch: &mut DijkstraScratch,
     ) {
+        self.sweep_into(source, usize::MAX, dist, scratch);
+    }
+
+    /// One full sweep from `source` into `dist`, never expanding the
+    /// out-edges of `skip` (`usize::MAX` skips nothing).
+    fn sweep_into(
+        &self,
+        source: usize,
+        skip: usize,
+        dist: &mut [f64],
+        scratch: &mut DijkstraScratch,
+    ) {
         let n = self.node_count();
         assert!(source < n, "source {source} out of bounds for {n} nodes");
         assert_eq!(dist.len(), n, "distance buffer has wrong length");
@@ -206,7 +218,7 @@ impl CsrGraph {
             dist: 0.0,
             node: source,
         });
-        self.relax_from_heap(dist, scratch);
+        self.relax_from_heap_skipping(dist, scratch, skip);
     }
 
     /// Like [`CsrGraph::dijkstra_into_with`] but sweeps into the
@@ -224,9 +236,34 @@ impl CsrGraph {
         source: usize,
         scratch: &'a mut DijkstraScratch,
     ) -> &'a [f64] {
+        self.dijkstra_row_skipping_with(source, usize::MAX, scratch)
+    }
+
+    /// Like [`CsrGraph::dijkstra_row_with`], but sweeps as if the
+    /// out-edges of `skip` were absent — the row of the subgraph
+    /// `G_{-skip}` — without materialising that subgraph. This is the
+    /// residual row `D_{G_{-i}}(source, ·)` a best-response oracle for
+    /// peer `i = skip` reads, swept on the full overlay snapshot.
+    /// `skip` itself still receives its distance (edges *into* it
+    /// remain); it is just never expanded. With `skip >= node_count()`
+    /// nothing is skipped.
+    ///
+    /// Bit-identical to a plain sweep on a graph built without `skip`'s
+    /// out-edges: Dijkstra settles each node at the minimum, over
+    /// paths, of the left-folded path sum, whatever the edge order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `source` is out of bounds.
+    pub fn dijkstra_row_skipping_with<'a>(
+        &self,
+        source: usize,
+        skip: usize,
+        scratch: &'a mut DijkstraScratch,
+    ) -> &'a [f64] {
         let mut row = std::mem::take(&mut scratch.row);
         row.resize(self.node_count(), f64::INFINITY);
-        self.dijkstra_into_with(source, &mut row, scratch);
+        self.sweep_into(source, skip, &mut row, scratch);
         scratch.row = row;
         &scratch.row
     }

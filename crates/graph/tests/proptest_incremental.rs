@@ -1,7 +1,9 @@
 //! Property tests for the incremental shortest-path machinery backing
 //! `GameSession`'s cache repair: decrease-only re-relaxation must agree
-//! with a from-scratch Dijkstra after arbitrary edge additions, and the
-//! sharded multi-row sweep must agree with sequential sweeps exactly.
+//! with a from-scratch Dijkstra after arbitrary edge additions, a sweep
+//! that skips one node's out-edges must agree with a sweep of the
+//! subgraph without them, and the sharded multi-row sweep must agree
+//! with sequential sweeps exactly.
 
 use proptest::prelude::*;
 use sp_graph::{CsrGraph, DiGraph, DijkstraScratch, DistanceMatrix};
@@ -65,6 +67,28 @@ proptest! {
         csr_new.relax_decrease_into(&mut dist, &seeds, &mut scratch);
         prop_assert_eq!(dist, csr_new.dijkstra(source),
             "incremental repair diverged from a fresh sweep");
+    }
+
+    /// A sweep on the full graph that never expands `skip` yields,
+    /// bit for bit, the row a fresh sweep computes on the graph built
+    /// without `skip`'s out-edges — including rows from `skip` itself
+    /// (which then reaches nothing) and `skip` out of range.
+    #[test]
+    fn skipping_sweep_matches_fresh_subgraph_dijkstra(
+        (n, edges) in arb_graph(),
+        source_raw in 0usize..12,
+        skip_raw in 0usize..13
+    ) {
+        let source = source_raw % n;
+        let skip = if skip_raw == 12 { usize::MAX } else { skip_raw % n };
+        let full = CsrGraph::from_digraph(&build(n, &edges));
+        let kept: Vec<(usize, usize, f64)> =
+            edges.iter().copied().filter(|&(u, _, _)| u != skip).collect();
+        let fresh = CsrGraph::from_digraph(&build(n, &kept)).dijkstra(source);
+        let mut scratch = DijkstraScratch::new();
+        let skipped = full.dijkstra_row_skipping_with(source, skip, &mut scratch);
+        let bits = |row: &[f64]| row.iter().map(|d| d.to_bits()).collect::<Vec<_>>();
+        prop_assert_eq!(bits(skipped), bits(&fresh), "source {} skip {}", source, skip);
     }
 
     /// The sharded multi-row sweep fills every requested row with exactly

@@ -38,7 +38,7 @@
 //!   single-threaded no-eviction **reference executor**, and a
 //!   closed-loop multi-connection replayer; the `sp-loadgen` bin wraps
 //!   it, and the replay integration test proves a 10k-request run over
-//!   256 sessions under a 64 MiB budget (forcing evict/restore cycles)
+//!   256 sessions under a 56 MiB budget (forcing evict/restore cycles)
 //!   answers bit-identically to the reference.
 //! * [`wal`] + [`config::Durability`] — per-session **write-ahead
 //!   logging**: every state-mutating op is appended (CRC-framed,

@@ -602,6 +602,7 @@ impl SessionRegistry {
             ("work.incremental_relaxations", w.incremental_relaxations),
             ("work.lazy_greedy_scores", w.lazy_greedy_scores),
             ("work.lazy_stale_skips", w.lazy_stale_skips),
+            ("work.nash_peers_pruned", w.nash_peers_pruned),
             ("work.oracle_builds", w.oracle_builds),
             ("work.snapshot_exports", w.snapshot_exports),
             ("work.snapshot_restores", w.snapshot_restores),

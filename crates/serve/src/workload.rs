@@ -61,8 +61,9 @@ impl WorkloadConfig {
     }
 
     /// The acceptance-sized preset: a mixed 10k-request workload over
-    /// 256 sessions, sized so the default 64 MiB registry budget forces
-    /// evict/restore cycles.
+    /// 256 sessions, whose resident footprint (about 68 MiB) exceeds
+    /// the replay test's 56 MiB registry budget, forcing evict/restore
+    /// cycles.
     #[must_use]
     pub fn acceptance() -> Self {
         WorkloadConfig {

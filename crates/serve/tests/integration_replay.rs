@@ -4,7 +4,7 @@
 //!
 //! The two `acceptance_replay_*` tests are the acceptance gate: the
 //! mixed 10k-request workload over 256 sessions runs against a live TCP
-//! server with a 64 MiB registry budget — far below the workload's
+//! server with a 56 MiB registry budget — below the workload's
 //! resident footprint, so the registry must continuously evict LRU
 //! sessions to disk and restore them on their next request — across 8
 //! closed-loop client connections and a multi-worker scheduler, once
@@ -191,10 +191,16 @@ fn quick_replay_is_bit_identical_on_threaded_io() {
     assert_quick_outcome(&cfg, &served, &reference, &stats);
 }
 
+/// The acceptance gate's registry budget: below the workload's resident
+/// footprint (about 68 MiB with every session resident), so LRU
+/// pressure, not only the scripted `evict` ops, drives spills — about
+/// 870 evictions against 582 scripted ones.
+const ACCEPTANCE_BUDGET: usize = 56 << 20;
+
 fn acceptance_replay(tag: &str, proto: u8) {
     let cfg = WorkloadConfig::acceptance();
     let (served, reference, stats, explicit_evicts) =
-        run_replay(tag, &cfg, 64 << 20, 4, 8, IoModel::Reactor, proto);
+        run_replay(tag, &cfg, ACCEPTANCE_BUDGET, 4, 8, IoModel::Reactor, proto);
     assert_eq!(served.len(), 10_000);
     assert!(
         served.iter().all(|r| r["ok"] == true),
@@ -217,14 +223,14 @@ fn acceptance_replay(tag: &str, proto: u8) {
     // transient overshoot of at most the few slots admitted since the
     // previous pass — allow one workers' worth of slots of slack.
     assert!(
-        stats.resident_bytes <= (64 << 20) + (4 << 20),
+        stats.resident_bytes <= ACCEPTANCE_BUDGET + (4 << 20),
         "registry ended far above budget: {stats:?}"
     );
     assert_eq!(stats.requests_served, 10_000);
 }
 
 /// The acceptance gate (see module docs) over protocol 1: 10k requests,
-/// 256 sessions, 64 MiB budget, bit-identical to the no-eviction
+/// 256 sessions, 56 MiB budget, bit-identical to the no-eviction
 /// reference.
 #[test]
 fn acceptance_replay_is_bit_identical_under_eviction() {

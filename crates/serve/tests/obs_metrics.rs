@@ -12,7 +12,7 @@
 
 use std::path::PathBuf;
 
-use sp_core::{BackendMode, Move, PeerId};
+use sp_core::{BackendMode, BestResponseMethod, Move, PeerId};
 use sp_serve::client::ServeClient;
 use sp_serve::config::ServeConfig;
 use sp_serve::obs::ObsConfig;
@@ -73,6 +73,28 @@ fn metrics_and_trace_tail_require_obs() {
         .trace_tail(None, None)
         .expect_err("trace_tail must refuse");
     assert_eq!(err.code, ErrorCode::BadRequest);
+    server.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// `work.nash_peers_pruned` reports the peers a certified `nash_gap`
+/// scan never solved: on the empty profile every peer's improvement is
+/// infinite, so the first peer settles the gap and the other three are
+/// ruled out.
+#[test]
+fn nash_gap_pruning_is_a_work_counter() {
+    let (server, dir) = obs_server("pruned", IoModel::Threaded);
+    let mut client = ServeClient::connect(server.local_addr(), PROTO_JSON).expect("connect");
+    let empty = GameSpec {
+        links: Vec::new(),
+        ..spec()
+    };
+    client.create("gap", empty).expect("create");
+    client
+        .nash_gap("gap", BestResponseMethod::Greedy)
+        .expect("nash_gap");
+    let m = client.metrics().expect("metrics");
+    assert_eq!(counter(&m, "work.nash_peers_pruned"), 3, "{m:?}");
     server.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
 }
